@@ -54,7 +54,6 @@ from .mothergraph import (
 )
 from .oracle import (
     EquivalenceReport,
-    SearchPolicy,
     brute_force_search,
     equivalence_check,
     palintiple_count,

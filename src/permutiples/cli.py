@@ -427,11 +427,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # Circuit counts grow factorially (5000 copies of one loop count 5000!
+    # edge sequences), so printing them must not hit the int-to-str limit.
+    int_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if int_digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         out = args.handler(args)
     except (PermutipleError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
+    finally:
+        if int_digits is not None:
+            sys.set_int_max_str_digits(int_digits)
     sys.stdout.write(out)
     return EXIT_OK
 

@@ -67,6 +67,14 @@ class DigitVec:
                 raise ValueError(f"digit {d} out of range for base {self.base}")
 
     @classmethod
+    def _trusted(cls, digits: tuple[int, ...], base: int) -> "DigitVec":
+        # Internal: digits the caller has already checked against base.
+        v = object.__new__(cls)
+        object.__setattr__(v, "digits", digits)
+        object.__setattr__(v, "base", base)
+        return v
+
+    @classmethod
     def from_msd(cls, digits: Sequence[int], base: int) -> "DigitVec":
         """Build from digits in display order, most significant first."""
         return cls(tuple(reversed(tuple(digits))), base)
@@ -95,6 +103,13 @@ class CarrySeq:
             raise ValueError("carry sequence must not be empty")
         if self.carries[0] != 0:
             raise ValueError(f"initial carry must be 0, got {self.carries[0]}")
+
+    @classmethod
+    def _trusted(cls, carries: tuple[int, ...]) -> "CarrySeq":
+        # Internal: carries the caller has already replayed from 0.
+        c = object.__new__(cls)
+        object.__setattr__(c, "carries", carries)
+        return c
 
     @property
     def final(self) -> int:

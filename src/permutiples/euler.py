@@ -5,7 +5,7 @@ when the union of their carry-machine images contains state 0, is strongly
 connected on its active states, and has matching indegree and outdegree
 everywhere; in that case the strings are precisely the Eulerian circuits
 from state 0, read off by their labels.  This module decides the three
-conditions, walks the circuits, and counts them two independent ways.
+conditions, walks the circuits, and counts them by the BEST theorem.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ._digraph import strongly_connected_components
 from .errors import CapExceededError
+from .mothergraph import DigitPair
 from .statemachine import HSMultigraph, LabeledMultiedge, PermutipleString
 
 __all__ = [
@@ -130,6 +131,47 @@ def _grouped_out_edges(g: HSMultigraph) -> dict[int, list[list]]:
     return {v: [rows[k] for k in sorted(rows)] for v, rows in groups.items()}
 
 
+def _circuits(g: HSMultigraph) -> Iterator[tuple[DigitPair, ...]]:
+    """Label sequences of the Eulerian circuits of g from state 0.
+
+    Depth-first over out-edges ordered by (to-state, label), one copy of a
+    label at a time, on an explicit stack: depth d holds the carry state
+    reached after d steps, the next row to try there, and the row taken.
+    Only for multigraphs whose condition report accepts.
+    """
+    groups = _grouped_out_edges(g)
+    total = len(g.multiedges)
+    labels: list = [None] * total
+    taken: list = [None] * total
+    cursor = [0] * (total + 1)
+    states = [0] * (total + 1)
+    depth = 0
+    while depth >= 0:
+        if depth == total:
+            if states[depth] == 0:
+                yield tuple(labels)
+            depth -= 1
+            taken[depth][2] += 1
+            continue
+        rows = groups.get(states[depth], ())
+        i = cursor[depth]
+        while i < len(rows) and rows[i][2] == 0:
+            i += 1
+        if i == len(rows):
+            depth -= 1
+            if depth >= 0:
+                taken[depth][2] += 1
+            continue
+        cursor[depth] = i + 1
+        row = rows[i]
+        row[2] -= 1
+        taken[depth] = row
+        labels[depth] = row[1]
+        depth += 1
+        states[depth] = row[0]
+        cursor[depth] = 0
+
+
 def enumerate_strings(
     g: HSMultigraph, opts: EnumerationOptions | None = None
 ) -> tuple[PermutipleString, ...]:
@@ -138,90 +180,62 @@ def enumerate_strings(
     Returns () whenever the condition report fails.  The walk is
     depth-first over out-edges ordered by (to-state, label), taking one copy
     of a label at a time, so the output order is deterministic and circuits
-    differing only in which identical copy they used appear once.  Raises
-    CapExceededError rather than silently truncating.
+    differing only in which identical copy they used appear once.  It keeps
+    its own stack, so long multigraphs never reach the recursion limit.
+    Raises CapExceededError rather than silently truncating; with
+    label-distinct dedup and leading zeros allowed the result count is the
+    determinant count of count_circuits, so an oversized run raises before
+    walking at all.
     """
     if opts is None:
         opts = EnumerationOptions()
     if not condition_report(g).verdict:
         return ()
-    groups = _grouped_out_edges(g)
-    total = len(g.multiedges)
+    if opts.dedup == LABEL_DISTINCT and opts.leading_zero == ALLOW_LEADING_ZERO:
+        if _edge_sequences(g) // _copy_orders(g) > opts.cap:
+            raise CapExceededError(f"more than {opts.cap} strings")
+    forbid_zero = opts.leading_zero == FORBID_LEADING_ZERO
+    numeric = opts.dedup == NUMERICALLY_DISTINCT
     b = g.params.b
     results: list[PermutipleString] = []
     seen_values: set[int] = set()
-    labels: list = []
-
-    def emit() -> None:
-        if opts.leading_zero == FORBID_LEADING_ZERO and labels[-1].d1 == 0:
-            return
-        if opts.dedup == NUMERICALLY_DISTINCT:
+    for labels in _circuits(g):
+        if forbid_zero and labels[-1].d1 == 0:
+            continue
+        if numeric:
             val = 0
             for lab in reversed(labels):
                 val = val * b + lab.d1
             if val in seen_values:
-                return
+                continue
             seen_values.add(val)
         if len(results) >= opts.cap:
             raise CapExceededError(f"more than {opts.cap} strings")
-        results.append(PermutipleString(tuple(labels)))
-
-    def walk(state: int, used: int) -> None:
-        if used == total:
-            if state == 0:
-                emit()
-            return
-        for row in groups.get(state, ()):
-            if row[2] == 0:
-                continue
-            row[2] -= 1
-            labels.append(row[1])
-            walk(row[0], used + 1)
-            labels.pop()
-            row[2] += 1
-
-    walk(0, 0)
+        results.append(PermutipleString._trusted(labels))
     return tuple(results)
+
+
+def _copy_orders(g: HSMultigraph) -> int:
+    """Orders in which the copies of each repeated label can be used."""
+    orders = 1
+    for mult in g.label_multiplicities().values():
+        orders *= factorial(mult)
+    return orders
 
 
 def count_circuits(g: HSMultigraph) -> CircuitCounts:
     """Count Eulerian circuits from state 0, with and without copy identity.
 
-    label_distinct comes from the same backtracking walk the enumerator
-    uses; edge_sequences_from_zero treats every copy of a repeated label as
-    its own edge and equals label_distinct times the product of factorials
-    of label multiplicities.  The arborescence determinant recomputes the
-    sequence count independently; any disagreement is a bug and raises.
+    edge_sequences_from_zero treats every copy of a repeated label as its
+    own edge and comes from the arborescence determinant.  Copies of one
+    label induce the same transition, so each label-distinct circuit is
+    exactly (product of factorials of label multiplicities) edge sequences,
+    and label_distinct is the exact quotient.  Nothing is walked; the test
+    suite checks both numbers against a backtracking count and against
+    enumerate_strings.
     """
-    if not condition_report(g).verdict:
-        return CircuitCounts(0, 0)
-    groups = _grouped_out_edges(g)
-    total = len(g.multiedges)
-
-    def walk(state: int, used: int) -> int:
-        if used == total:
-            return 1 if state == 0 else 0
-        found = 0
-        for row in groups.get(state, ()):
-            if row[2] == 0:
-                continue
-            row[2] -= 1
-            found += walk(row[0], used + 1)
-            row[2] += 1
-        return found
-
-    label_distinct = walk(0, 0)
-    copies = 1
-    for mult in g.label_multiplicities().values():
-        copies *= factorial(mult)
-    sequences = label_distinct * copies
-    independent = count_sequences_by_arborescences(g)
-    if sequences != independent:
-        raise RuntimeError(
-            f"circuit backtracking found {sequences} edge sequences but the "
-            f"determinant formula gives {independent}"
-        )
-    return CircuitCounts(sequences, label_distinct)
+    sequences = count_sequences_by_arborescences(g)
+    return CircuitCounts(sequences, sequences // _copy_orders(g))
 
 
 def count_sequences_by_arborescences(g: HSMultigraph) -> int:
@@ -234,6 +248,11 @@ def count_sequences_by_arborescences(g: HSMultigraph) -> int:
     """
     if not condition_report(g).verdict:
         return 0
+    return _edge_sequences(g)
+
+
+def _edge_sequences(g: HSMultigraph) -> int:
+    # The BEST count for a multigraph whose condition report accepts.
     indeg, outdeg = _degrees(g)
     active = sorted(set(indeg) | set(outdeg))
     pos = {v: i for i, v in enumerate(active)}
@@ -247,8 +266,7 @@ def count_sequences_by_arborescences(g: HSMultigraph) -> int:
     minor = [
         [lap[i][j] for j in range(k) if j != root] for i in range(k) if i != root
     ]
-    trees = _int_det(minor)
-    circuits = trees
+    circuits = _int_det(minor)
     for v in active:
         circuits *= factorial(outdeg[v] - 1)
     return circuits * outdeg[0]

@@ -32,7 +32,6 @@ from .mothergraph import DEFAULT_MAX_CYCLES, build_mother_graph, enumerate_cycle
 from .statemachine import CycleMultiset, string_to_witness, union_images
 
 __all__ = [
-    "SearchPolicy",
     "EquivalenceReport",
     "brute_force_search",
     "palintiple_count",
@@ -41,24 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_SCAN = 10**7
-
-
-@dataclass(frozen=True)
-class SearchPolicy:
-    """Digit-count conventions shared by every scan here.
-
-    Both flags are pinned true: the product must occupy all of its digit
-    positions, and the multiplicand is always compared on its full-width
-    zero padding.  The record exists so the brute-force side and the
-    enumeration side (forbid-leading-zero filter) visibly agree.
-    """
-
-    product_leading_nonzero: bool = True
-    pad_multiplicand: bool = True
-
-    def __post_init__(self) -> None:
-        if not (self.product_leading_nonzero and self.pad_multiplicand):
-            raise ValueError("both search conventions are fixed and must stay on")
 
 
 def _check_budget(p: Params, length: int, max_scan: int) -> None:
@@ -108,7 +89,10 @@ def palintiple_count(p: Params, length: int, max_scan: int = DEFAULT_MAX_SCAN) -
     if length < 2:
         raise ValueError(f"reversal needs at least 2 digit positions, got {length}")
     _check_budget(p, length, max_scan)
-    assert p.n * p.b**length < 2**62
+    if p.n * p.b**length >= 2**62:
+        raise BudgetExceededError(
+            f"products of {length} base-{p.b} digits leave the int64 range of the scan"
+        )
     lo = p.b ** (length - 1)
     hi = p.b**length
     q_lo = (lo + p.n - 1) // p.n

@@ -17,10 +17,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .digits import CarrySeq, DigitVec, Params, PermutipleWitness, find_permutation
-from .errors import NotAnLWalkError, RejectedPairError, UnknownCycleIndexError
+from .errors import (
+    DigitAlignmentError,
+    NotAnLWalkError,
+    RejectedPairError,
+    UnknownCycleIndexError,
+)
 from .mothergraph import (
     DEFAULT_MAX_CYCLES,
     Cycle,
@@ -70,8 +76,15 @@ def transition(pair: DigitPair | tuple[int, int], p: Params) -> tuple[int, int]:
     if c1 > p.n - 1:
         raise RejectedPairError(f"pair ({d1},{d2}) is rejected for {p}")
     c2, rem = divmod(p.n * d2 - d1 + c1, p.b)
-    assert rem == 0 and 0 <= c2 <= p.n - 1
+    if rem or not 0 <= c2 <= p.n - 1:
+        raise DigitAlignmentError(f"pair ({d1},{d2}) leaves no carry in 0..{p.n - 1}")
     return (c1, c2)
+
+
+@lru_cache(maxsize=64)
+def _transition_table(p: Params) -> dict[DigitPair, tuple[int, int]]:
+    """transition() of every allowed pair, from one pass over the machine."""
+    return {e.label: (e.c1, e.c2) for e in build_hs_multigraph(p).multiedges}
 
 
 @dataclass(frozen=True)
@@ -215,6 +228,13 @@ class PermutipleString:
         if not canon:
             raise ValueError("a pair string holds at least one pair")
 
+    @classmethod
+    def _trusted(cls, pairs: tuple[DigitPair, ...]) -> "PermutipleString":
+        # Internal: labels read off an HSMultigraph, already DigitPairs.
+        s = object.__new__(cls)
+        object.__setattr__(s, "pairs", pairs)
+        return s
+
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -232,11 +252,18 @@ def string_to_witness(s: PermutipleString, p: Params) -> PermutipleWitness:
     the walk guarantees the value relation; whether the string is a genuine
     permutiple additionally needs the two digit tracks to agree as multisets,
     which the witness report of the result states.
+
+    Steps are looked up in a per-(n, b) table of every allowed pair; a pair
+    missing from it goes through transition(), which raises for digits
+    outside 0..b-1 and for rejected pairs.  The digits are then known to be
+    in range, so the digit vectors skip re-validation.
     """
+    table = _transition_table(p)
     carries = [0]
     state = 0
     for i, pair in enumerate(s.pairs):
-        c1, c2 = transition(pair, p)
+        step = table.get(pair)
+        c1, c2 = transition(pair, p) if step is None else step
         if c1 != state:
             if i == 0:
                 raise NotAnLWalkError(f"walk starts at carry {c1}, not 0")
@@ -247,10 +274,11 @@ def string_to_witness(s: PermutipleString, p: Params) -> PermutipleWitness:
         carries.append(c2)
     if state != 0:
         raise NotAnLWalkError(f"walk ends at carry {state}, not 0")
-    digits = DigitVec(tuple(e.d1 for e in s.pairs), p.b)
-    permuted = DigitVec(tuple(e.d2 for e in s.pairs), p.b)
+    products, multiplicands = zip(*s.pairs)
+    digits = DigitVec._trusted(products, p.b)
+    permuted = DigitVec._trusted(multiplicands, p.b)
     return PermutipleWitness(
-        p, digits, permuted, CarrySeq(tuple(carries)), find_permutation(digits, permuted)
+        p, digits, permuted, CarrySeq._trusted(tuple(carries)), find_permutation(digits, permuted)
     )
 
 

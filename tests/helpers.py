@@ -85,3 +85,33 @@ def peel_cycle_cover(pairs):
             path.append(w)
             adj[v].remove(w)
     return cycles
+
+
+def backtracking_label_distinct(g):
+    """Label-distinct Eulerian circuits of g from state 0, by exhaustive walk.
+
+    The reference count_circuits is checked against: it walks every circuit,
+    taking one copy of a label at a time, instead of dividing the BEST
+    determinant.  Returns 0 for the empty multigraph.  Exponential, fine for
+    the small unions the tests draw.
+    """
+    from collections import Counter
+
+    rows = {}
+    for (c1, c2, _), mult in sorted(Counter(g.multiedges).items()):
+        rows.setdefault(c1, []).append([c2, mult])
+    total = len(g.multiedges)
+
+    def walk(state, used):
+        if used == total:
+            return 1 if state == 0 else 0
+        found = 0
+        for row in rows.get(state, ()):
+            if row[1] == 0:
+                continue
+            row[1] -= 1
+            found += walk(row[0], used + 1)
+            row[1] += 1
+        return found
+
+    return walk(0, 0) if total else 0

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -292,6 +293,11 @@ def test_budget_exit_code(capsys):
     assert code == EXIT_BUDGET
     assert out == ""
     assert err.startswith("error: scanning 9 base-10 digits needs 1000000000 candidates")
+    code, out, err = run(capsys, "palintiples", "--n", "4", "--b", "10", "--len", "19",
+                         "--max-scan", str(10**20))
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert "int64" in err
 
 
 def test_cap_exit_code(capsys):
@@ -301,6 +307,63 @@ def test_cap_exit_code(capsys):
     )
     assert code == EXIT_BUDGET
     assert "error:" in err
+
+
+def test_cap_fails_before_walking(capsys):
+    # 12 copies each of cycles 2 and 3 of (2, 4) spell 1 692 365 881 260 600
+    # label-distinct strings; the determinant count rejects them up front.
+    cycles = ",".join(["2", "3"] * 12)
+    code, out, err = run(
+        capsys, "strings", "--n", "2", "--b", "4", "--cycles", cycles, "--max-strings", "100",
+    )
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "error: more than 100 strings\n"
+
+
+LONG_LOOP = ",".join(["0"] * 5000)  # 5000 copies of the (0,0) self-loop of (2, 4)
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "permutiples", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def long_str(m):
+    """str(m), even past the interpreter's int-to-str digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return str(m)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(m)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_check_on_five_thousand_multiedges():
+    proc = run_module("check", "--n", "2", "--b", "4", "--cycles", LONG_LOOP, "--format", "json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    payload = json.loads(proc.stdout, parse_int=str)
+    assert payload["verdict"]
+    assert payload["edge_sequences_from_zero"] == long_str(math.factorial(5000))
+    assert payload["label_distinct_circuits"] == "1"
+    proc = run_module("check", "--n", "2", "--b", "4", "--cycles", LONG_LOOP)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert f"1 label-distinct, {long_str(math.factorial(5000))} edge sequences" in proc.stdout
+
+
+def test_strings_on_five_thousand_multiedges():
+    proc = run_module("strings", "--n", "2", "--b", "4", "--cycles", LONG_LOOP)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "strings for cycle multiset {0: 5000} over (n=2, b=4): 1"
+    assert lines[1].startswith("  " + "(0,0)" * 5000 + "    ")
+    assert lines[1].endswith("0 = 2 * 0")
 
 
 def test_usage_exit_codes(capsys):

@@ -21,6 +21,7 @@ from permutiples import (
     value,
     verify_witness,
 )
+from permutiples import euler
 from permutiples.euler import FORBID_LEADING_ZERO, NUMERICALLY_DISTINCT
 
 P24 = Params(2, 4)
@@ -205,6 +206,17 @@ def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_strings(g, EnumerationOptions(cap=3))
     assert len(enumerate_strings(g, EnumerationOptions(cap=6))) == 6
+
+
+def test_label_distinct_cap_is_checked_before_walking(monkeypatch):
+    g = union24(I_THREE_A, I_THREE_A)  # 6 strings
+
+    def no_walk(_):
+        raise AssertionError("walked although the determinant count exceeds the cap")
+
+    monkeypatch.setattr(euler, "_circuits", no_walk)
+    with pytest.raises(CapExceededError):
+        enumerate_strings(g, EnumerationOptions(cap=5))
 
 
 def test_enumeration_options_validation():

@@ -7,7 +7,6 @@ from permutiples import (
     BudgetExceededError,
     EquivalenceReport,
     Params,
-    SearchPolicy,
     brute_force_search,
     build_mother_graph,
     edge_allowed,
@@ -105,18 +104,9 @@ def test_palintiple_validation():
         palintiple_count(P410, 1)
     with pytest.raises(BudgetExceededError):
         palintiple_count(P410, 9)
-
-
-# === policy record ===
-
-
-def test_search_policy_is_pinned():
-    policy = SearchPolicy()
-    assert policy.product_leading_nonzero and policy.pad_multiplicand
-    with pytest.raises(ValueError):
-        SearchPolicy(product_leading_nonzero=False)
-    with pytest.raises(ValueError):
-        SearchPolicy(pad_multiplicand=False)
+    # within the scan budget, but 4 * 10**19 products overflow int64
+    with pytest.raises(BudgetExceededError):
+        palintiple_count(P410, 19, max_scan=10**20)
 
 
 # === pipeline vs scan ===

@@ -1,10 +1,11 @@
 """Cross-route consistency on randomized inputs.
 
 Every test here pits two independently written routes against each other:
-closed-form transitions against the defining carry recurrence, backtracking
-circuit counts against the determinant formula, the single-circuit search
-against the three-condition report, and enumerated strings against direct
-verification of the numbers they spell.
+closed-form transitions against the defining carry recurrence, the
+determinant circuit count against a backtracking walk (kept in helpers) and
+against the enumerator, the single-circuit search against the
+three-condition report, and enumerated strings against direct verification
+of the numbers they spell.
 """
 
 from collections import Counter
@@ -14,6 +15,7 @@ from math import factorial
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import backtracking_label_distinct, cycle_index
 from permutiples import (
     CycleMultiset,
     EnumerationOptions,
@@ -111,12 +113,10 @@ def test_union_preserves_edge_labels_with_multiplicity(data):
     assert len(g.multiedges) == sum(len(inv[i].edges) for i in idx)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_counting_routes_agree(data):
-    p, inv, idx = draw_multiset(data)
-    g = union_images(CycleMultiset.from_indices(idx), p, inv)
-    counts = count_circuits(g)  # raises internally if the two routes disagree
+def assert_counting_routes_agree(g):
+    counts = count_circuits(g)
+    walked = backtracking_label_distinct(g)
+    assert counts.label_distinct == walked == len(enumerate_strings(g))
     copies = 1
     for mult in g.label_multiplicities().values():
         copies *= factorial(mult)
@@ -125,6 +125,26 @@ def test_counting_routes_agree(data):
         assert counts.label_distinct >= 1
     else:
         assert counts == (0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_counting_routes_agree(data):
+    p, inv, idx = draw_multiset(data)
+    assert_counting_routes_agree(union_images(CycleMultiset.from_indices(idx), p, inv))
+
+
+def test_counting_routes_agree_on_fixed_unions():
+    p = Params(2, 4)
+    inv = inventory_for(p)
+    two = cycle_index(inv, {(1, 2), (2, 1)})
+    three = cycle_index(inv, {(0, 2), (2, 1), (1, 0)})
+    four = cycle_index(inv, {(0, 2), (2, 3), (3, 1), (1, 0)})
+    loop0 = cycle_index(inv, {(0, 0)})
+    for indices, circuits in [((two, three), 3), ((three, three), 6), ((four, loop0), 12)]:
+        g = union_images(CycleMultiset.from_indices(indices), p, inv)
+        assert backtracking_label_distinct(g) == circuits
+        assert_counting_routes_agree(g)
 
 
 @settings(max_examples=100, deadline=None)

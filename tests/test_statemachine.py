@@ -238,6 +238,8 @@ def test_string_rejections():
         )
     with pytest.raises(RejectedPairError):
         string_to_witness(PermutipleString((DigitPair(2, 0),)), P24)
+    with pytest.raises(ValueError):  # 4 is not a base-4 digit
+        string_to_witness(PermutipleString((DigitPair(4, 0),)), P24)
 
 
 # === dot export ===
