@@ -49,6 +49,7 @@ from .statemachine import (
 )
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_DOMAIN = 4
@@ -437,6 +438,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (PermutipleError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
+    except Exception as exc:
+        # Last resort: a fault in the package itself, never a traceback.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if int_digits is not None:
             sys.set_int_max_str_digits(int_digits)

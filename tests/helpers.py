@@ -115,3 +115,48 @@ def backtracking_label_distinct(g):
         return found
 
     return walk(0, 0) if total else 0
+
+
+def naive_permutiples(p, length):
+    """Products m of every length-digit permutiple for (n, b), in increasing order.
+
+    The reference brute_force_search is checked against: it tries every
+    multiplicand whose product has `length` digits, splits both numbers into
+    zero-padded digits with divmod and compares the sorted digit lists.  No
+    stride, no signature tables.  Linear in b**length, fine for small scans.
+    """
+
+    def padded_digits(x):
+        digits = []
+        for _ in range(length):
+            x, d = divmod(x, p.b)
+            digits.append(d)
+        return digits
+
+    found = []
+    for q in range((p.b ** (length - 1) + p.n - 1) // p.n, (p.b**length - 1) // p.n + 1):
+        m = p.n * q
+        if sorted(padded_digits(m)) == sorted(padded_digits(q)):
+            found.append(m)
+    return found
+
+
+def naive_palintiple_count(p, length):
+    """How many length-digit m = n*q have q's zero-padded digits reversed.
+
+    The reference palintiple_count is checked against: every multiplicand,
+    plain-int divmod digits, no stride, no numpy, no blocks.
+    """
+
+    def padded_digits(x):
+        digits = []
+        for _ in range(length):
+            x, d = divmod(x, p.b)
+            digits.append(d)
+        return digits
+
+    lo, hi = p.b ** (length - 1), p.b**length
+    return sum(
+        padded_digits(p.n * q) == padded_digits(q)[::-1]
+        for q in range((lo + p.n - 1) // p.n, (hi - 1) // p.n + 1)
+    )

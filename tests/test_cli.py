@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+from permutiples import cli
 from permutiples.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     _exit_code_for,
@@ -366,6 +368,14 @@ def test_strings_on_five_thousand_multiedges():
     assert lines[1].endswith("0 = 2 * 0")
 
 
+def test_equiv_on_two_thousand_cycles():
+    # (4, 11) has 2 117 inventory cycles; the multiset sweep must not recurse per cycle
+    proc = run_module("equiv", "--n", "4", "--b", "11", "--len", "3")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[0] == "equivalence for (n=4, b=11), length 3: MATCH"
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_exit_codes(capsys):
     assert run(capsys, "mother", "--n", "5", "--b", "4")[0] == EXIT_USAGE
     assert run(capsys, "image", "--n", "2", "--b", "4", "--cycle", "99")[0] == EXIT_USAGE
@@ -382,6 +392,26 @@ def test_help_exits_clean(capsys):
     assert main(["--help"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "permutiples" in out
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("walker lost its place")
+
+    monkeypatch.setattr(cli, "_handle_mother", broken)
+    code, out, err = run(capsys, "mother", "--n", "2", "--b", "4")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: RuntimeError: walker lost its place\n"
+
+
+def test_keyboard_interrupt_propagates(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_handle_mother", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["mother", "--n", "2", "--b", "4"])
 
 
 def test_exit_code_mapping():

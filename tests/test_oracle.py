@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import cycle_index, peel_cycle_cover
+from helpers import cycle_index, naive_palintiple_count, naive_permutiples, peel_cycle_cover
 from permutiples import (
     BudgetExceededError,
     EquivalenceReport,
@@ -16,6 +16,7 @@ from permutiples import (
     value,
     verify_witness,
 )
+from permutiples.oracle import _signature_table
 
 P24 = Params(2, 4)
 P410 = Params(4, 10)
@@ -49,12 +50,49 @@ def test_scan_finds_nothing_at_trivial_lengths():
     assert brute_force_search(P24, 2) == ()
 
 
+def test_one_digit_scan_builds_no_tables(monkeypatch):
+    # a width-1 table for base 10**7 would hold 10**7 signatures of 10**7 bits
+    def no_tables(*args):
+        raise AssertionError("signature table built for a one-digit scan")
+
+    monkeypatch.setattr("permutiples.oracle._signature_table", no_tables)
+    assert brute_force_search(Params(2, 10**7), 1) == ()
+
+
 def test_scan_results_use_full_width_padding():
     # 10872 = 4 * 2718: the quotient only reaches five digits as 02718
     ws = brute_force_search(P410, 5)
     w = next(w for w in ws if value(w.digits) == 10872)
     assert w.permuted.msd == (0, 2, 7, 1, 8)
     assert w.digits.msd == (1, 0, 8, 7, 2)
+
+
+# Every small (n, b) up to base 7, at every length with at most 20 000
+# candidates (L=1 has no permutiples), plus (4, 10, 5).  The scan's stride
+# (b-1)/gcd(n-1, b-1) takes the values 2 (2, 3), 3 (2, 4) and b-1 (2, 5).
+NAIVE_CASES = {(n, b): [L for L in range(1, 10) if b**L <= 20_000]
+               for b in range(3, 8) for n in range(2, b)}
+NAIVE_CASES[(4, 10)] = [5]
+
+
+@pytest.mark.parametrize("n,b", sorted(NAIVE_CASES))
+def test_scan_agrees_with_naive_loop(n, b):
+    p = Params(n, b)
+    for length in NAIVE_CASES[(n, b)]:
+        found = [(value(w.digits), value(w.permuted)) for w in brute_force_search(p, length)]
+        assert found == [(m, m // n) for m in naive_permutiples(p, length)], length
+
+
+@pytest.mark.parametrize("b,length", [(2, 7), (3, 4), (4, 3)])
+def test_signatures_identify_digit_multisets(b, length):
+    # counts reach `length` here, the most a whole-number signature holds
+    table = _signature_table(b, length, length.bit_length())
+    assert len(table) == b**length
+    multiset_of = {}
+    for x, signature in enumerate(table):
+        digits = tuple(sorted(x // b**j % b for j in range(length)))
+        assert multiset_of.setdefault(signature, digits) == digits
+    assert len(set(multiset_of.values())) == len(multiset_of)
 
 
 def test_scan_budget():
@@ -97,6 +135,19 @@ def test_palintiple_counts_nine_ten():
 def test_palintiples_are_a_subset_of_the_scan():
     for p, length in [(P24, 3), (P24, 4), (P410, 4), (P410, 5)]:
         assert palintiple_count(p, length) <= len(brute_force_search(p, length))
+
+
+# Every small (n, b) up to base 7 at lengths with at most 20 000
+# candidates, plus three larger spaces with 3, 1 and 8 palintiples.
+PALINTIPLE_CASES = [(n, b, L) for b in range(3, 8) for n in range(2, b)
+                    for L in range(2, 10) if b**L <= 20_000]
+PALINTIPLE_CASES += [(2, 3, 11), (3, 8, 6), (2, 5, 8)]
+
+
+def test_palintiple_count_agrees_with_naive_loop():
+    for n, b, length in PALINTIPLE_CASES:
+        p = Params(n, b)
+        assert palintiple_count(p, length) == naive_palintiple_count(p, length), (n, b, length)
 
 
 def test_palintiple_validation():

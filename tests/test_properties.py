@@ -4,12 +4,14 @@ Every test here pits two independently written routes against each other:
 closed-form transitions against the defining carry recurrence, the
 determinant circuit count against a backtracking walk (kept in helpers) and
 against the enumerator, the single-circuit search against the
-three-condition report, and enumerated strings against direct verification
-of the numbers they spell.
+three-condition report, enumerated strings against direct verification
+of the numbers they spell, and the cycle-multiset sweep against a plain
+itertools.product search.
 """
 
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 from hypothesis import assume, given, settings
@@ -36,6 +38,7 @@ from permutiples import (
     verify_witness,
 )
 from permutiples.euler import NUMERICALLY_DISTINCT
+from permutiples.oracle import _cycle_multisets
 
 SMALL = [
     Params(2, 3),
@@ -187,3 +190,21 @@ def test_dedup_modes_coincide_within_one_union(data):
     assert enumerate_strings(g) == enumerate_strings(
         g, EnumerationOptions(dedup=NUMERICALLY_DISTINCT)
     )
+
+
+def product_multisets(lengths, total):
+    """Every (index, multiplicity) selection with edge total `total`, by
+    trying each multiplicity vector in itertools.product order."""
+    found = []
+    for ks in product(*(range(total // step + 1) for step in lengths)):
+        if sum(k * step for k, step in zip(ks, lengths)) == total:
+            found.append(tuple((i, k) for i, k in enumerate(ks) if k))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(1, 6), max_size=6), total=st.integers(0, 6))
+def test_cycle_multiset_sweep_matches_product(lengths, total):
+    # inventories come sorted by length; the sweep's pruning must not rely on it
+    for order in (sorted(lengths), lengths):
+        assert list(_cycle_multisets(order, total)) == product_multisets(order, total)
