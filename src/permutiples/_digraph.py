@@ -110,37 +110,37 @@ def _blocked_search(
     start: int, adj: Mapping[int, Sequence[int]], record: Callable[[list[int]], None]
 ) -> None:
     # Johnson's circuit(): vertices stay blocked after a fruitless visit and
-    # are freed through the barred lists only when a cycle is found.
+    # are freed through the barred lists only when a cycle is found.  It runs
+    # on an explicit stack, one [successor iterator, cycle closed below]
+    # frame per path vertex, so deep paths never reach the recursion limit.
     path = [start]
     blocked = {start}
     barred: dict[int, set[int]] = defaultdict(set)
-
-    def unblock(v: int) -> None:
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            if u in blocked:
-                blocked.discard(u)
-                queue.extend(barred[u])
-                barred[u].clear()
-
-    def search(v: int) -> bool:
-        closed = False
-        for w in adj[v]:
+    frames = [[iter(adj[start]), False]]
+    while frames:
+        frame = frames[-1]
+        for w in frame[0]:
             if w == start:
                 record(path.copy())
-                closed = True
+                frame[1] = True
             elif w not in blocked:
                 blocked.add(w)
                 path.append(w)
-                if search(w):
-                    closed = True
-                path.pop()
-        if closed:
-            unblock(v)
+                frames.append([iter(adj[w]), False])
+                break
         else:
-            for w in adj[v]:
-                barred[w].add(v)
-        return closed
-
-    search(start)
+            frames.pop()
+            v = path.pop()
+            if frame[1]:
+                queue = [v]  # unblock v and whatever waits on it
+                while queue:
+                    u = queue.pop()
+                    if u in blocked:
+                        blocked.discard(u)
+                        queue.extend(barred[u])
+                        barred[u].clear()
+                if frames:
+                    frames[-1][1] = True
+            else:
+                for w in adj[v]:
+                    barred[w].add(v)

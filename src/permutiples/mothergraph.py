@@ -1,17 +1,20 @@
 """Digit-pair graphs: which pairs an (n, b)-permutiple may use at all.
 
 A pair (d1, d2) can serve as some position's (product digit, multiplicand
-digit) only when the least non-negative residue of d1 + (b - n) * d2 modulo
-b is at most n - 1.  Collecting every such pair over the digits 0..b-1
-gives the mother graph for (n, b); the pairs one witness actually uses form
-its class graph, a subgraph.  Edge multisets of permutiples always split
-into elementary directed cycles of the mother graph, which is why the cycle
-inventory built here is the currency the rest of the package trades in.
+digit) only when one step of multiplying by n writes it: n*d2 + c1 = d1 +
+b*c2 with carries in 0..n-1, tabulated once for all modules by _carry_steps.
+All such pairs of digits 0..b-1 form the mother graph for (n, b); the pairs
+one witness actually uses form its class graph, a subgraph.  Edge multisets
+of permutiples always split into elementary directed cycles of the mother
+graph, which is why the cycle inventory built here is the currency the rest
+of the package trades in.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from ._digraph import elementary_cycles
@@ -45,12 +48,32 @@ class DigitPair(NamedTuple):
         return f"({self.d1},{self.d2})"
 
 
-def edge_allowed(pair: DigitPair | tuple[int, int], p: Params) -> bool:
-    """Whether the pair satisfies the residue inequality for (n, b)."""
+@lru_cache(maxsize=64)
+def _carry_steps(p: Params) -> dict[DigitPair, tuple[int, int]]:
+    """The carry step (c1, c2) of every allowed pair (d1, d2), keys sorted.
+
+    Digit d2 times n plus carry c1 writes digit d1 and carries c2 out; the n
+    carries write n distinct digits, so there are n*b pairs.  Never mutate.
+    """
+    steps = {}
+    for d2 in range(p.b):
+        for c1 in range(p.n):
+            c2, d1 = divmod(p.n * d2 + c1, p.b)
+            steps[DigitPair(d1, d2)] = (c1, c2)
+    return dict(sorted(steps.items()))
+
+
+def _step(pair: DigitPair | tuple[int, int], p: Params) -> tuple[int, int] | None:
+    """The carry step of a pair of base-b digits, or None when it is not allowed."""
     d1, d2 = pair
     if not (0 <= d1 < p.b and 0 <= d2 < p.b):
         raise ValueError(f"pair ({d1},{d2}) is not made of base-{p.b} digits")
-    return (d1 + (p.b - p.n) * d2) % p.b <= p.n - 1
+    return _carry_steps(p).get((d1, d2))
+
+
+def edge_allowed(pair: DigitPair | tuple[int, int], p: Params) -> bool:
+    """Whether the pair satisfies the residue inequality for (n, b)."""
+    return _step(pair, p) is not None
 
 
 @dataclass(frozen=True)
@@ -79,9 +102,11 @@ class DigitGraph:
 
     def __contains__(self, pair: object) -> bool:
         try:
-            return DigitPair(*pair) in set(self.edges)  # type: ignore[misc]
+            key = DigitPair(*pair)  # type: ignore[misc]
+            i = bisect_left(self.edges, key)
         except TypeError:
             return False
+        return i < len(self.edges) and self.edges[i] == key
 
 
 @dataclass(frozen=True)
@@ -90,14 +115,7 @@ class MotherGraph(DigitGraph):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        expected = tuple(
-            DigitPair(d1, d2)
-            for d1 in range(self.params.b)
-            for d2 in range(self.params.b)
-            if (d1 + (self.params.b - self.params.n) * d2) % self.params.b
-            <= self.params.n - 1
-        )
-        if self.edges != expected:
+        if self.edges != tuple(_carry_steps(self.params)):
             raise ValueError(f"mother graph for {self.params} must hold every allowed pair")
 
 
@@ -108,13 +126,7 @@ class ClassGraph(DigitGraph):
 
 def build_mother_graph(p: Params) -> MotherGraph:
     """Every allowed digit pair for (n, b), in lexicographic order."""
-    edges = tuple(
-        DigitPair(d1, d2)
-        for d1 in range(p.b)
-        for d2 in range(p.b)
-        if (d1 + (p.b - p.n) * d2) % p.b <= p.n - 1
-    )
-    return MotherGraph(p, edges)
+    return MotherGraph(p, tuple(_carry_steps(p)))
 
 
 def graph_of_witness(w: PermutipleWitness) -> ClassGraph:

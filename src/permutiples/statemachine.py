@@ -17,20 +17,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .digits import CarrySeq, DigitVec, Params, PermutipleWitness, find_permutation
-from .errors import (
-    DigitAlignmentError,
-    NotAnLWalkError,
-    RejectedPairError,
-    UnknownCycleIndexError,
-)
+from .errors import NotAnLWalkError, RejectedPairError, UnknownCycleIndexError
 from .mothergraph import (
     DEFAULT_MAX_CYCLES,
     Cycle,
     DigitPair,
+    _carry_steps,
+    _step,
     build_mother_graph,
     enumerate_cycles,
 )
@@ -61,30 +57,17 @@ class LabeledMultiedge(NamedTuple):
 def transition(pair: DigitPair | tuple[int, int], p: Params) -> tuple[int, int]:
     """The unique carry transition (c1, c2) a digit pair induces.
 
-    c1 is the least residue of d1 - n*d2 modulo b; if it lands outside
-    0..n-1 the pair is not allowed at all and RejectedPairError is raised.
-    c2 then follows from b*c2 = n*d2 - d1 + c1, which divides exactly and
-    stays inside 0..n-1 on its own.
+    It is the step n*d2 + c1 = d1 + b*c2 with both carries in 0..n-1, read
+    from the per-(n, b) carry-step table.  Raises ValueError for digits
+    outside 0..b-1 and RejectedPairError for a pair no step writes.
 
     >>> transition((9, 9), Params(4, 10))
     (3, 3)
     """
-    d1, d2 = pair
-    if not (0 <= d1 < p.b and 0 <= d2 < p.b):
-        raise ValueError(f"pair ({d1},{d2}) is not made of base-{p.b} digits")
-    c1 = (d1 - p.n * d2) % p.b
-    if c1 > p.n - 1:
-        raise RejectedPairError(f"pair ({d1},{d2}) is rejected for {p}")
-    c2, rem = divmod(p.n * d2 - d1 + c1, p.b)
-    if rem or not 0 <= c2 <= p.n - 1:
-        raise DigitAlignmentError(f"pair ({d1},{d2}) leaves no carry in 0..{p.n - 1}")
-    return (c1, c2)
-
-
-@lru_cache(maxsize=64)
-def _transition_table(p: Params) -> dict[DigitPair, tuple[int, int]]:
-    """transition() of every allowed pair, from one pass over the machine."""
-    return {e.label: (e.c1, e.c2) for e in build_hs_multigraph(p).multiedges}
+    step = _step(pair, p)
+    if step is None:
+        raise RejectedPairError(f"pair {DigitPair(*pair)} is rejected for {p}")
+    return step
 
 
 @dataclass(frozen=True)
@@ -93,7 +76,8 @@ class HSMultigraph:
 
     multiedges is kept sorted; repeated entries are how a multiset union
     carries the same labeled transition more than once.  Every entry must
-    satisfy the carry recurrence b*c2 - c1 = n*d2 - d1.
+    satisfy the carry recurrence b*c2 - c1 = n*d2 - d1.  This module's own
+    builders skip the checks through _trusted.
     """
 
     params: Params
@@ -110,6 +94,14 @@ class HSMultigraph:
                 raise ValueError(f"state of {e} outside 0..{n - 1}")
             if b * e.c2 - e.c1 != n * e.label.d2 - e.label.d1:
                 raise ValueError(f"multiedge {e} breaks the carry recurrence")
+
+    @classmethod
+    def _trusted(cls, p: Params, multiedges: tuple[LabeledMultiedge, ...]) -> "HSMultigraph":
+        # Internal: multiedges already sorted and already known to be valid.
+        g = object.__new__(cls)
+        object.__setattr__(g, "params", p)
+        object.__setattr__(g, "multiedges", multiedges)
+        return g
 
     @property
     def states(self) -> range:
@@ -130,7 +122,7 @@ class HSMultigraph:
         """Multiset union: multiplicities add."""
         if self.params != other.params:
             raise ValueError("cannot union multigraphs over different parameters")
-        return HSMultigraph(self.params, self.multiedges + other.multiedges)
+        return HSMultigraph._trusted(self.params, tuple(sorted(self.multiedges + other.multiedges)))
 
     def __len__(self) -> int:
         return len(self.multiedges)
@@ -138,21 +130,14 @@ class HSMultigraph:
 
 def build_hs_multigraph(p: Params) -> HSMultigraph:
     """The full carry machine: one multiedge per mother-graph edge."""
-    mother = build_mother_graph(p)
-    edges = []
-    for pair in mother.edges:
-        c1, c2 = transition(pair, p)
-        edges.append(LabeledMultiedge(c1, c2, pair))
-    return HSMultigraph(p, tuple(edges))
+    edges = sorted(LabeledMultiedge(*step, pair) for pair, step in _carry_steps(p).items())
+    return HSMultigraph._trusted(p, tuple(edges))
 
 
 def cycle_multi_image(cycle: Cycle, p: Params) -> HSMultigraph:
     """The sub-multigraph the carry machine assigns to one digit cycle."""
-    edges = []
-    for pair in cycle.edges:
-        c1, c2 = transition(pair, p)
-        edges.append(LabeledMultiedge(c1, c2, pair))
-    return HSMultigraph(p, tuple(edges))
+    edges = [LabeledMultiedge(*transition(pair, p), pair) for pair in cycle.edges]
+    return HSMultigraph._trusted(p, tuple(sorted(edges)))
 
 
 @dataclass(frozen=True)
@@ -201,19 +186,22 @@ def union_images(
     inventory defaults to the canonical cycle inventory of the (n, b) mother
     graph; pass the inventory of a class graph to work inside one class.
     The empty multiset gives the empty multigraph.  Raises
-    UnknownCycleIndexError for an index the inventory does not have.
+    UnknownCycleIndexError for an index the inventory does not have, and
+    what transition() raises for a cycle edge that is not an allowed pair.
     """
     if inventory is None:
         inventory = enumerate_cycles(build_mother_graph(p), max_cycles=max_cycles)
+    steps = _carry_steps(p)
     edges: list[LabeledMultiedge] = []
     for index, mult in ms.items():
         if index >= len(inventory):
             raise UnknownCycleIndexError(
                 f"cycle index {index} outside inventory of {len(inventory)} cycles"
             )
-        image = cycle_multi_image(inventory[index], p)
-        edges.extend(image.multiedges * mult)
-    return HSMultigraph(p, tuple(edges))
+        for pair in inventory[index].edges:
+            step = steps.get(pair) or transition(pair, p)
+            edges.extend([LabeledMultiedge(*step, pair)] * mult)
+    return HSMultigraph._trusted(p, tuple(sorted(edges)))
 
 
 @dataclass(frozen=True)
@@ -253,17 +241,15 @@ def string_to_witness(s: PermutipleString, p: Params) -> PermutipleWitness:
     permutiple additionally needs the two digit tracks to agree as multisets,
     which the witness report of the result states.
 
-    Steps are looked up in a per-(n, b) table of every allowed pair; a pair
-    missing from it goes through transition(), which raises for digits
-    outside 0..b-1 and for rejected pairs.  The digits are then known to be
-    in range, so the digit vectors skip re-validation.
+    Steps are read from the carry-step table; a pair missing from it goes
+    through transition(), which raises.  The digits are then known to be in
+    range, so the digit vectors skip re-validation.
     """
-    table = _transition_table(p)
+    table = _carry_steps(p)
     carries = [0]
     state = 0
     for i, pair in enumerate(s.pairs):
-        step = table.get(pair)
-        c1, c2 = transition(pair, p) if step is None else step
+        c1, c2 = table.get(pair) or transition(pair, p)
         if c1 != state:
             if i == 0:
                 raise NotAnLWalkError(f"walk starts at carry {c1}, not 0")

@@ -87,6 +87,27 @@ def peel_cycle_cover(pairs):
     return cycles
 
 
+def reference_carry_step(d1, d2, p):
+    """Carry step (c1, c2) of a digit pair from first principles, or None.
+
+    The reference the package's carry-step table is checked against, in
+    plain ints: the pair is allowed when the residue (d1 - n*d2) % b is at
+    most n - 1, and its step is the (c1, c2) in 0..n-1 that satisfies the
+    recurrence b*c2 - c1 == n*d2 - d1, found by trying every c2.  Asserts
+    that the two rules agree: an allowed pair has exactly one step and a
+    rejected pair has none.
+    """
+    n, b = p.n, p.b
+    steps = []
+    for c2 in range(n):
+        c1 = b * c2 - (n * d2 - d1)
+        if 0 <= c1 < n:
+            steps.append((c1, c2))
+    allowed = (d1 - n * d2) % b <= n - 1
+    assert len(steps) == (1 if allowed else 0), (d1, d2, p, steps)
+    return steps[0] if allowed else None
+
+
 def backtracking_label_distinct(g):
     """Label-distinct Eulerian circuits of g from state 0, by exhaustive walk.
 

@@ -376,6 +376,17 @@ def test_equiv_on_two_thousand_cycles():
     assert "Traceback" not in proc.stderr
 
 
+def test_cycles_on_deep_paths_stop_at_the_cap():
+    # The cycle search of (2, 1100) follows paths hundreds of vertices deep
+    # before it passes the 10 000-cycle cap; it must stop there, not recurse.
+    proc = run_module("cycles", "--n", "2", "--b", "1100")
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: more than 10000 elementary cycles\n"
+    assert "Traceback" not in proc.stderr
+    assert "internal error" not in proc.stderr
+
+
 def test_usage_exit_codes(capsys):
     assert run(capsys, "mother", "--n", "5", "--b", "4")[0] == EXIT_USAGE
     assert run(capsys, "image", "--n", "2", "--b", "4", "--cycle", "99")[0] == EXIT_USAGE

@@ -90,6 +90,17 @@ def test_mother_graph_constructor_rejects_incomplete_edge_set():
         MotherGraph(P24, full.edges[1:])
 
 
+def test_membership():
+    g = build_mother_graph(P410)
+    for pair in (DigitPair(8, 2), (8, 2), [8, 2], (0, 0), (9, 9), (8.0, 2)):
+        assert pair in g
+    for pair in ((1, 1), [2, 1], (10, 0), (-1, 0), "82", ("8", "2"), ([8], [2])):
+        assert pair not in g
+    for junk in (None, 5, (8,), (8, 2, 0), {8: 2}):
+        assert junk not in g
+    assert (0, 0) not in ClassGraph(P24, ())
+
+
 def test_class_graph_rejects_disallowed_edges():
     with pytest.raises(ValueError):
         ClassGraph(P24, (DigitPair(2, 0),))

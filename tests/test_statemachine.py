@@ -1,7 +1,8 @@
 import pytest
 
-from helpers import cycle_index
+from helpers import cycle_index, reference_carry_step
 from permutiples import (
+    Cycle,
     CycleMultiset,
     DigitPair,
     HSMultigraph,
@@ -15,6 +16,7 @@ from permutiples import (
     build_mother_graph,
     carry_sequence,
     cycle_multi_image,
+    edge_allowed,
     enumerate_cycles,
     group_by_transition,
     multigraph_to_dot,
@@ -62,6 +64,33 @@ def test_transition_agrees_with_edge_predicate():
                 else:
                     with pytest.raises(RejectedPairError):
                         transition((d1, d2), p)
+
+
+def test_carry_steps_match_plain_int_reference():
+    # edge_allowed, transition and both graph builders read one table; the
+    # reference rebuilds every pair's step from the residue and the recurrence.
+    for b in range(3, 25):
+        for n in range(2, b):
+            p = Params(n, b)
+            steps = {}
+            for d1 in range(b):
+                for d2 in range(b):
+                    step = reference_carry_step(d1, d2, p)
+                    assert edge_allowed((d1, d2), p) == (step is not None)
+                    if step is None:
+                        with pytest.raises(RejectedPairError):
+                            transition((d1, d2), p)
+                    else:
+                        assert transition((d1, d2), p) == step
+                        steps[(d1, d2)] = step
+            assert len(steps) == n * b
+            assert [tuple(e) for e in build_mother_graph(p).edges] == sorted(steps)
+            assert [(e.c1, e.c2, tuple(e.label)) for e in build_hs_multigraph(p).multiedges] == (
+                sorted((c1, c2, pair) for pair, (c1, c2) in steps.items())
+            )
+    big = Params(2, 1100)
+    assert len(build_mother_graph(big).edges) == 2200
+    assert len(build_hs_multigraph(big)) == 2200
 
 
 # === full machine ===
@@ -156,6 +185,36 @@ def test_union_repeats_multiedges():
     doubled = union_images(CycleMultiset.from_indices([i3, i3]), P24, inv)
     assert len(doubled.multiedges) == 6
     assert set(doubled.label_multiplicities().values()) == {2}
+
+
+def test_images_of_hand_built_cycles_are_checked():
+    # Cycle only checks that edges chain; the carry machine checks the pairs.
+    rejected = Cycle(((0, 2), (2, 0)))  # (2, 0) is not an allowed pair for (2, 4)
+    non_digit = Cycle(((0, 4), (4, 0)))  # 4 is not a base-4 digit
+    with pytest.raises(RejectedPairError):
+        cycle_multi_image(rejected, P24)
+    with pytest.raises(RejectedPairError):
+        union_images(CycleMultiset.from_indices([0]), P24, [rejected])
+    with pytest.raises(ValueError):
+        cycle_multi_image(non_digit, P24)
+    with pytest.raises(ValueError):
+        union_images(CycleMultiset.from_indices([0, 0]), P24, [non_digit])
+
+
+def test_union_matches_validated_construction():
+    inv = _inventory(P34)
+    left = union_images(CycleMultiset.from_indices([0, 3, 3]), P34, inv)
+    right = union_images(CycleMultiset.from_indices([1, 3, 7]), P34, inv)
+    joined = left.union(right)
+    assert joined == HSMultigraph(P34, right.multiedges + left.multiedges)
+    assert joined == union_images(CycleMultiset.from_indices([0, 1, 3, 3, 3, 7]), P34, inv)
+    machine = build_hs_multigraph(P410)
+    assert machine == HSMultigraph(P410, tuple(reversed(machine.multiedges)))
+
+
+def test_union_across_params_rejected():
+    with pytest.raises(ValueError):
+        build_hs_multigraph(P24).union(build_hs_multigraph(P34))
 
 
 def test_union_unknown_index():
