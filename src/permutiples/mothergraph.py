@@ -2,7 +2,8 @@
 
 A pair (d1, d2) can serve as some position's (product digit, multiplicand
 digit) only when one step of multiplying by n writes it: n*d2 + c1 = d1 +
-b*c2 with carries in 0..n-1, tabulated once for all modules by _carry_steps.
+b*c2 with carries in 0..n-1.  That step is written once, in _multiply;
+_carry_steps tabulates it for all modules and _step solves it for one pair.
 All such pairs of digits 0..b-1 form the mother graph for (n, b); the pairs
 one witness actually uses form its class graph, a subgraph.  Edge multisets
 of permutiples always split into elementary directed cycles of the mother
@@ -48,27 +49,43 @@ class DigitPair(NamedTuple):
         return f"({self.d1},{self.d2})"
 
 
+def _multiply(p: Params, d2: int, c1: int) -> tuple[int, int]:
+    """(c2, d1): digit d2 times n plus carry c1 writes d1 and carries c2 out."""
+    return divmod(p.n * d2 + c1, p.b)
+
+
 @lru_cache(maxsize=64)
 def _carry_steps(p: Params) -> dict[DigitPair, tuple[int, int]]:
     """The carry step (c1, c2) of every allowed pair (d1, d2), keys sorted.
 
-    Digit d2 times n plus carry c1 writes digit d1 and carries c2 out; the n
-    carries write n distinct digits, so there are n*b pairs.  Never mutate.
+    The n carries c1 write n distinct digits d1 for each d2, so there are
+    n*b pairs.  Never mutate.
     """
     steps = {}
     for d2 in range(p.b):
         for c1 in range(p.n):
-            c2, d1 = divmod(p.n * d2 + c1, p.b)
+            c2, d1 = _multiply(p, d2, c1)
             steps[DigitPair(d1, d2)] = (c1, c2)
     return dict(sorted(steps.items()))
 
 
 def _step(pair: DigitPair | tuple[int, int], p: Params) -> tuple[int, int] | None:
-    """The carry step of a pair of base-b digits, or None when it is not allowed."""
+    """The carry step of a pair of base-b digits, or None when it is not allowed.
+
+    Works on the one pair without building the table: the only carry that
+    can write d1 from d2 is c1 = (d1 - n*d2) mod b, and it must be below n.
+    Non-integral values inside the digit range are never allowed.
+    """
     d1, d2 = pair
     if not (0 <= d1 < p.b and 0 <= d2 < p.b):
         raise ValueError(f"pair ({d1},{d2}) is not made of base-{p.b} digits")
-    return _carry_steps(p).get((d1, d2))
+    if int(d1) != d1 or int(d2) != d2:
+        return None
+    d1, d2 = int(d1), int(d2)
+    c1 = (d1 - p.n * d2) % p.b
+    if c1 >= p.n:
+        return None
+    return c1, _multiply(p, d2, c1)[0]
 
 
 def edge_allowed(pair: DigitPair | tuple[int, int], p: Params) -> bool:

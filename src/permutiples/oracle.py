@@ -1,27 +1,30 @@
-"""Brute-force ground truth, straight from the defining equation.
+"""Ground truth from the defining equation, and the palintiple count.
 
-Candidates are checked by direct base-b arithmetic only, so the graph
-pipeline has a fully independent answer to agree with.  The scans iterate
-over the multiplicand q and test m = n*q, which covers exactly the shared
+The scan checks candidates by direct base-b arithmetic only, so the graph
+pipeline has a fully independent answer to agree with.  It iterates over
+the multiplicand q and tests m = n*q, which covers exactly the shared
 search convention: the product fills all of its digit positions (leading
 digit nonzero) while the multiplicand is compared on its zero padding.
 
-Two facts keep the scans short.  A digit permutation keeps the digit sum,
+Two facts keep the scan short.  A digit permutation keeps the digit sum,
 and a number is congruent to its digit sum modulo b-1, so every hit has
 m = q (mod b-1), that is (n-1)q = 0 (mod b-1): only multiples of
-(b-1)/gcd(n-1, b-1) can be hits, and the general scan steps over the
-rest.  It then compares digit multisets as packed histograms looked up
-per half of the number, and builds digit vectors for hits alone.  The
-plain per-candidate loop it replaces is kept in the tests as the
-reference it must agree with.
+(b-1)/gcd(n-1, b-1) can be hits, and the scan steps over the rest.  It
+then compares digit multisets as packed histograms looked up per half of
+the number, and builds digit vectors for hits alone.
+
+Palintiples, m = n*q with m's digits q's reversed, are counted on the
+Hoey-Sloane carry-pair automaton (Sloane, "2178 and all that",
+arXiv:1307.0453): positions j and L-1-j hold mirror pairs (z, a) and (a, z),
+the state is (carry into j, carry out of L-1-j), and the walk runs from
+(0, 0) until the carries meet, for odd L through a middle pair (d, d).
+Both routes keep the plain per-candidate loop in the tests as reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
 
 from .digits import (
     Params,
@@ -39,6 +42,7 @@ from .euler import (
     enumerate_strings,
 )
 from .mothergraph import DEFAULT_MAX_CYCLES, build_mother_graph, enumerate_cycles
+from .mothergraph import _multiply, _step
 from .statemachine import CycleMultiset, string_to_witness, union_images
 
 __all__ = [
@@ -136,35 +140,29 @@ def brute_force_search(
 def palintiple_count(p: Params, length: int, max_scan: int = DEFAULT_MAX_SCAN) -> int:
     """How many length-digit numbers equal n times their digit reversal.
 
-    Reversal acts on the full length-digit padding.  The scan runs in
-    chunked numpy int64 arithmetic; everything stays well inside exact
-    integer range and positive operands, so floor division is exact.
+    Reversal acts on the full length-digit padding.  The count walks the
+    carry-pair automaton; the budget still counts all b**length candidates.
     """
     if length < 2:
         raise ValueError(f"reversal needs at least 2 digit positions, got {length}")
     _check_budget(p, length, max_scan)
-    if p.n * p.b**length >= 2**62:
-        raise BudgetExceededError(
-            f"products of {length} base-{p.b} digits leave the int64 range of the scan"
-        )
-    lo = p.b ** (length - 1)
-    hi = p.b**length
-    q_lo = (lo + p.n - 1) // p.n
-    q_hi = (hi - 1) // p.n
-    count = 0
-    chunk = 1 << 20
-    place = [p.b**j for j in range(length)]
-    for start in range(q_lo, q_hi + 1, chunk):
-        stop = min(start + chunk, q_hi + 1)
-        q = np.arange(start, stop, dtype=np.int64)
-        m = p.n * q
-        ok = np.ones(m.shape, dtype=bool)
-        for j in range(length):
-            ok &= (m // place[j]) % p.b == (q // place[length - 1 - j]) % p.b
-            if not ok.any():
-                break
-        count += int(ok.sum())
-    return count
+    # moves[low]: (a, carry out of j, mirror's step) for each digit a at j whose
+    # pair (z, a) from carry low has an allowed mirror (a, z) at length-1-j
+    moves: dict[int, list[tuple[int, int, int, int]]] = {}
+    ways = {(0, 0): 1}
+    for j in range(length // 2):
+        reached: dict[tuple[int, int], int] = {}
+        for (low, high), count in ways.items():
+            if low not in moves:  # only the carries the walk reaches, no n*b table
+                writes = ((a, *_multiply(p, a, low)) for a in range(p.b))
+                moves[low] = [(a, c2, *m) for a, c2, z in writes if (m := _step((a, z), p))]
+            for a, c2, h1, h2 in moves[low]:
+                if h2 == high and (a or j):  # a becomes the product's leading digit
+                    reached[c2, h1] = reached.get((c2, h1), 0) + count
+        ways = reached
+    if length % 2:  # a middle pair (d, d) steps from low to high; None matches no state
+        return sum(ways.get(_step((d, d), p), 0) for d in range(p.b))
+    return sum(count for (low, high), count in ways.items() if low == high)
 
 
 @dataclass(frozen=True)

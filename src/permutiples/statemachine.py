@@ -57,9 +57,10 @@ class LabeledMultiedge(NamedTuple):
 def transition(pair: DigitPair | tuple[int, int], p: Params) -> tuple[int, int]:
     """The unique carry transition (c1, c2) a digit pair induces.
 
-    It is the step n*d2 + c1 = d1 + b*c2 with both carries in 0..n-1, read
-    from the per-(n, b) carry-step table.  Raises ValueError for digits
-    outside 0..b-1 and RejectedPairError for a pair no step writes.
+    It is the step n*d2 + c1 = d1 + b*c2 with both carries in 0..n-1,
+    solved for this one pair by the rule the carry-step table is built from.
+    Raises ValueError for digits outside 0..b-1 and RejectedPairError for a
+    pair no step writes.
 
     >>> transition((9, 9), Params(4, 10))
     (3, 3)
@@ -76,8 +77,9 @@ class HSMultigraph:
 
     multiedges is kept sorted; repeated entries are how a multiset union
     carries the same labeled transition more than once.  Every entry must
-    satisfy the carry recurrence b*c2 - c1 = n*d2 - d1.  This module's own
-    builders skip the checks through _trusted.
+    have base-b digits in its label and satisfy the carry recurrence
+    b*c2 - c1 = n*d2 - d1.  This module's own builders skip the checks
+    through _trusted.
     """
 
     params: Params
@@ -92,6 +94,8 @@ class HSMultigraph:
         for e in canon:
             if not (0 <= e.c1 < n and 0 <= e.c2 < n):
                 raise ValueError(f"state of {e} outside 0..{n - 1}")
+            if not (0 <= e.label.d1 < b and 0 <= e.label.d2 < b):
+                raise ValueError(f"label of {e} is not made of base-{b} digits")
             if b * e.c2 - e.c1 != n * e.label.d2 - e.label.d1:
                 raise ValueError(f"multiedge {e} breaks the carry recurrence")
 

@@ -166,7 +166,7 @@ def naive_palintiple_count(p, length):
     """How many length-digit m = n*q have q's zero-padded digits reversed.
 
     The reference palintiple_count is checked against: every multiplicand,
-    plain-int divmod digits, no stride, no numpy, no blocks.
+    plain-int divmod digits, no carry-step table, no automaton.
     """
 
     def padded_digits(x):

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutiples import cli
 from permutiples.cli import (
@@ -295,11 +299,12 @@ def test_budget_exit_code(capsys):
     assert code == EXIT_BUDGET
     assert out == ""
     assert err.startswith("error: scanning 9 base-10 digits needs 1000000000 candidates")
+    # within the budget, the count is exact far beyond int64 products
     code, out, err = run(capsys, "palintiples", "--n", "4", "--b", "10", "--len", "19",
                          "--max-scan", str(10**20))
-    assert code == EXIT_BUDGET
-    assert out == ""
-    assert "int64" in err
+    assert code == EXIT_OK
+    assert out == "21 palintiples with 19 base-10 digits for n=4\n"
+    assert err == ""
 
 
 def test_cap_exit_code(capsys):
@@ -454,3 +459,79 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("mother graph for (n=2, b=4): 8 edges")
+
+
+def test_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, permutiples.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+# === fuzzing ===
+
+# Small edge values only: every example must finish in milliseconds, and
+# `mother` has no budget, so huge bases stay out.
+SMALL = st.sampled_from([-1, 0, 1]) | st.integers(2, 8)
+LIMIT = st.sampled_from([-1, 0, 1]) | st.integers(2, 10**4)
+MALFORMED = st.sampled_from(["", "1,,2", "x", "1.5"])
+
+
+def int_list(lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+
+
+CYCLES = MALFORMED | int_list(-1, 20)
+DIGITS = MALFORMED | int_list(-1, 9)
+LENGTH = st.integers(-1, 5)
+# Each subcommand's own options; None marks a flag without a value.
+OPTIONS = {
+    "mother": {},
+    "cycles": {"--max-cycles": LIMIT},
+    "multigraph": {},
+    "image": {"--cycle": st.integers(-1, 20), "--max-cycles": LIMIT},
+    "check": {"--cycles": CYCLES, "--max-cycles": LIMIT},
+    "strings": {
+        "--cycles": CYCLES,
+        "--max-cycles": LIMIT,
+        "--max-strings": LIMIT,
+        "--forbid-leading-zero": st.none(),
+        "--dedup": st.sampled_from(["label", "numeric"]),
+    },
+    "verify": {"--digits": DIGITS, "--permuted": DIGITS},
+    "search": {"--len": LENGTH, "--max-scan": LIMIT},
+    "palintiples": {"--len": LENGTH, "--max-scan": LIMIT},
+    "equiv": {"--len": LENGTH, "--max-scan": LIMIT, "--max-strings": LIMIT, "--max-cycles": LIMIT},
+}
+REQUIRED = {"--cycle", "--cycles", "--digits", "--permuted", "--len"}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    b = draw(SMALL)
+    n = draw(SMALL | st.just(b) | st.integers(2, max(2, b - 1)))
+    fmt = draw(st.sampled_from(["table", "json", "dot"]))
+    argv = [command, "--n", str(n), "--b", str(b), "--format", fmt]
+    for flag, values in OPTIONS[command].items():
+        if flag in REQUIRED or draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_never_crashes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_BUDGET, EXIT_DOMAIN}, (argv, err.getvalue())
+    for stream in (out.getvalue(), err.getvalue()):
+        assert "Traceback" not in stream and "internal error:" not in stream, argv

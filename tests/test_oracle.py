@@ -155,9 +155,17 @@ def test_palintiple_validation():
         palintiple_count(P410, 1)
     with pytest.raises(BudgetExceededError):
         palintiple_count(P410, 9)
-    # within the scan budget, but 4 * 10**19 products overflow int64
-    with pytest.raises(BudgetExceededError):
-        palintiple_count(P410, 19, max_scan=10**20)
+    # within the scan budget, and exact far beyond int64 products
+    assert palintiple_count(P410, 19, max_scan=10**20) == 21
+
+
+def test_palintiple_counts_follow_fibonacci_far_past_the_scan():
+    fib = [0, 1]
+    while len(fib) < 30:
+        fib.append(fib[-1] + fib[-2])
+    for p in (P410, Params(9, 10)):
+        for length in range(4, 61):
+            assert palintiple_count(p, length, max_scan=10**length) == fib[length // 2 - 1]
 
 
 # === pipeline vs scan ===

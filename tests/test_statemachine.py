@@ -26,6 +26,7 @@ from permutiples import (
     value,
     verify_witness,
 )
+from permutiples.mothergraph import _carry_steps
 
 P24 = Params(2, 4)
 P34 = Params(3, 4)
@@ -93,6 +94,23 @@ def test_carry_steps_match_plain_int_reference():
     assert len(build_hs_multigraph(big)) == 2200
 
 
+def test_single_pair_queries_build_no_table():
+    # One pair costs O(1) at any base: the table for (2, 10**6) would hold
+    # two million entries.
+    big = Params(2, 10**6)
+    misses = _carry_steps.cache_info().misses
+    assert transition((0, 0), big) == (0, 0)
+    assert transition((10**6 - 1, 10**6 - 1), big) == (1, 1)
+    assert edge_allowed((1, 0), big) and not edge_allowed((2, 0), big)
+    assert _carry_steps.cache_info().misses == misses
+    # Non-integral values are no digits of any pair; integral ones give int carries.
+    with pytest.raises(RejectedPairError):
+        transition((0.5, 0), P24)
+    assert not edge_allowed((0.5, 0), P24)
+    step = transition((1.0, 0), P24)
+    assert step == (1, 0) and all(type(c) is int for c in step)
+
+
 # === full machine ===
 
 
@@ -144,6 +162,13 @@ def test_multigraph_validates_recurrence():
         HSMultigraph(P24, (LabeledMultiedge(0, 1, DigitPair(0, 0)),))
     with pytest.raises(ValueError):
         HSMultigraph(P24, (LabeledMultiedge(0, 2, DigitPair(0, 0)),))
+
+
+def test_multigraph_validates_label_digits():
+    # Both labels satisfy the recurrence, but 4 and -2 are no base-4 digits.
+    for label in (DigitPair(4, 2), DigitPair(-2, -1)):
+        with pytest.raises(ValueError, match="base-4 digits"):
+            HSMultigraph(P24, (LabeledMultiedge(0, 0, label),))
 
 
 # === cycle images and unions ===
