@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+def _integral(x) -> bool:
+    # Integral floats pass, as they do as pair digits; inf and nan do not.
+    return x % 1 == 0
+
+
 @dataclass(frozen=True)
 class Params:
     """A multiplier/base pair (n, b) with 1 < n < b."""
@@ -65,6 +70,8 @@ class DigitVec:
         for d in self.digits:
             if not 0 <= d < self.base:
                 raise ValueError(f"digit {d} out of range for base {self.base}")
+            if not _integral(d):
+                raise ValueError(f"digit {d} is not an integer")
 
     @classmethod
     def _trusted(cls, digits: tuple[int, ...], base: int) -> "DigitVec":
@@ -103,6 +110,9 @@ class CarrySeq:
             raise ValueError("carry sequence must not be empty")
         if self.carries[0] != 0:
             raise ValueError(f"initial carry must be 0, got {self.carries[0]}")
+        for c in self.carries:
+            if not _integral(c):
+                raise ValueError(f"carry {c} is not an integer")
 
     @classmethod
     def _trusted(cls, carries: tuple[int, ...]) -> "CarrySeq":

@@ -4,8 +4,10 @@ A multiset of mother-graph cycles assembles into a permutiple string exactly
 when the union of their carry-machine images contains state 0, is strongly
 connected on its active states, and has matching indegree and outdegree
 everywhere; in that case the strings are precisely the Eulerian circuits
-from state 0, read off by their labels.  This module decides the three
-conditions, walks the circuits, and counts them by the BEST theorem.
+from state 0, read off by their labels.  This module counts the circuits
+by the BEST theorem and walks them.  The count is positive exactly when
+the three conditions hold, so it alone gates counting and walking;
+condition_report states the conditions one by one to explain a verdict.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def _circuits(g: HSMultigraph) -> Iterator[tuple[DigitPair, ...]]:
     Depth-first over out-edges ordered by (to-state, label), one copy of a
     label at a time, on an explicit stack: depth d holds the carry state
     reached after d steps, the next row to try there, and the row taken.
-    Only for multigraphs whose condition report accepts.
+    Only for multigraphs with a positive BEST count.
     """
     groups = _grouped_out_edges(g)
     total = len(g.multiedges)
@@ -177,22 +179,22 @@ def enumerate_strings(
 ) -> tuple[PermutipleString, ...]:
     """Every Eulerian circuit of g from state 0, read as a pair string.
 
-    Returns () whenever the condition report fails.  The walk is
+    Returns () whenever the BEST count of count_circuits is 0.  The walk is
     depth-first over out-edges ordered by (to-state, label), taking one copy
     of a label at a time, so the output order is deterministic and circuits
     differing only in which identical copy they used appear once.  It keeps
     its own stack, so long multigraphs never reach the recursion limit.
     Raises CapExceededError rather than silently truncating; with
-    label-distinct dedup and leading zeros allowed the result count is the
-    determinant count of count_circuits, so an oversized run raises before
-    walking at all.
+    label-distinct dedup and leading zeros allowed the result count is that
+    same count, so an oversized run raises before walking at all.
     """
     if opts is None:
         opts = EnumerationOptions()
-    if not condition_report(g).verdict:
+    distinct = count_sequences_by_arborescences(g) // _copy_orders(g)
+    if not distinct:
         return ()
     if opts.dedup == LABEL_DISTINCT and opts.leading_zero == ALLOW_LEADING_ZERO:
-        if _edge_sequences(g) // _copy_orders(g) > opts.cap:
+        if distinct > opts.cap:
             raise CapExceededError(f"more than {opts.cap} strings")
     forbid_zero = opts.leading_zero == FORBID_LEADING_ZERO
     numeric = opts.dedup == NUMERICALLY_DISTINCT
@@ -239,22 +241,22 @@ def count_circuits(g: HSMultigraph) -> CircuitCounts:
 
 
 def count_sequences_by_arborescences(g: HSMultigraph) -> int:
-    """Eulerian edge sequences from state 0 via spanning in-trees.
+    """Eulerian edge sequences from state 0 via spanning in-trees, or 0.
 
     The number of Eulerian circuits of a connected balanced multigraph is
     (in-trees rooted at any vertex) * product((outdeg - 1)!), and fixing the
     start vertex multiplies by its outdegree.  Loops cancel out of the
     Laplacian and the determinant is taken with exact integer arithmetic.
+
+    The count alone decides acceptance.  It is 0 unless state 0 is active
+    and every active state is balanced; the weak components of a balanced
+    multigraph are strongly connected, so the in-tree determinant at 0 is
+    then nonzero exactly when the active states are strongly connected.
     """
-    if not condition_report(g).verdict:
-        return 0
-    return _edge_sequences(g)
-
-
-def _edge_sequences(g: HSMultigraph) -> int:
-    # The BEST count for a multigraph whose condition report accepts.
     indeg, outdeg = _degrees(g)
-    active = sorted(set(indeg) | set(outdeg))
+    if not outdeg[0] or indeg != outdeg:
+        return 0
+    active = sorted(outdeg)
     pos = {v: i for i, v in enumerate(active)}
     k = len(active)
     lap = [[0] * k for _ in range(k)]
@@ -262,11 +264,7 @@ def _edge_sequences(g: HSMultigraph) -> int:
         lap[pos[v]][pos[v]] = outdeg[v]
     for e in g.multiedges:
         lap[pos[e.c1]][pos[e.c2]] -= 1
-    root = pos[0]
-    minor = [
-        [lap[i][j] for j in range(k) if j != root] for i in range(k) if i != root
-    ]
-    circuits = _int_det(minor)
+    circuits = _int_det([row[1:] for row in lap[1:]])  # state 0 sorts first
     for v in active:
         circuits *= factorial(outdeg[v] - 1)
     return circuits * outdeg[0]

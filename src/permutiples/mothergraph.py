@@ -54,12 +54,12 @@ def _multiply(p: Params, d2: int, c1: int) -> tuple[int, int]:
     return divmod(p.n * d2 + c1, p.b)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _carry_steps(p: Params) -> dict[DigitPair, tuple[int, int]]:
     """The carry step (c1, c2) of every allowed pair (d1, d2), keys sorted.
 
     The n carries c1 write n distinct digits d1 for each d2, so there are
-    n*b pairs.  Never mutate.
+    n*b pairs.  The cache keeps one (n, b), the last asked for.  Never mutate.
     """
     steps = {}
     for d2 in range(p.b):
@@ -132,7 +132,8 @@ class MotherGraph(DigitGraph):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.edges != tuple(_carry_steps(self.params)):
+        # The edges are distinct allowed pairs, and n*b pairs are allowed.
+        if len(self.edges) != self.params.n * self.params.b:
             raise ValueError(f"mother graph for {self.params} must hold every allowed pair")
 
 

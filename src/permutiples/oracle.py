@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .digits import (
+    DigitVec,
     Params,
     PermutipleWitness,
     carry_sequence,
@@ -43,7 +44,7 @@ from .euler import (
 )
 from .mothergraph import DEFAULT_MAX_CYCLES, build_mother_graph, enumerate_cycles
 from .mothergraph import _multiply, _step
-from .statemachine import CycleMultiset, string_to_witness, union_images
+from .statemachine import CycleMultiset, union_images
 
 __all__ = [
     "EquivalenceReport",
@@ -230,10 +231,10 @@ def equivalence_check(
     """Compare the values the two routes produce for one digit count.
 
     Pipeline route: every multiset of canonical mother-graph cycles whose
-    edge total is `length`, unioned, filtered by the condition report,
-    enumerated with leading zeros forbidden, and read off as product
-    values.  Scan route: brute_force_search.  Any symmetric difference
-    means one side is wrong.
+    edge total is `length`, unioned, enumerated with leading zeros
+    forbidden, and each walked string read off as the product its first
+    components spell.  Scan route: brute_force_search.  Any symmetric
+    difference means one side is wrong.
     """
     inventory = enumerate_cycles(build_mother_graph(p), max_cycles=max_cycles)
     lengths = [len(c.edges) for c in inventory]
@@ -242,6 +243,6 @@ def equivalence_check(
     for counts in _cycle_multisets(lengths, length):
         g = union_images(CycleMultiset(counts), p, inventory)
         for s in enumerate_strings(g, opts):
-            pipeline.add(value(string_to_witness(s, p).digits))
+            pipeline.add(value(DigitVec._trusted(tuple(pair.d1 for pair in s.pairs), p.b)))
     brute = {value(w.digits) for w in brute_force_search(p, length, max_scan=max_scan)}
     return EquivalenceReport(p, length, tuple(sorted(pipeline)), tuple(sorted(brute)))

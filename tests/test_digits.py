@@ -38,7 +38,9 @@ def test_digitvec_is_least_significant_first():
     assert len(v) == 5
 
 
-@pytest.mark.parametrize("digits,base", [((4,), 4), ((-1,), 10), ((), 10), ((0,), 1)])
+@pytest.mark.parametrize(
+    "digits,base", [((4,), 4), ((-1,), 10), ((), 10), ((0,), 1), ((0.5,), 4)]
+)
 def test_digitvec_rejects_bad_input(digits, base):
     with pytest.raises(ValueError):
         DigitVec(digits, base)
@@ -81,6 +83,9 @@ def test_carry_seq_starts_at_zero():
         CarrySeq((1, 0))
     with pytest.raises(ValueError):
         CarrySeq(())
+    with pytest.raises(ValueError):
+        CarrySeq((0, 0.75, 0))
+    assert CarrySeq((0, 3.0, 0)).final == 0  # integral floats stay allowed
 
 
 def test_carry_sequence_of_reversal_multiple():
@@ -162,6 +167,20 @@ def test_verify_flags_bad_sigma():
     assert not verify_witness(bad).sigma_consistent
     repeated = PermutipleWitness.build(p, digits, permuted, sigma=(0, 0, 2, 1, 4))
     assert not verify_witness(repeated).sigma_consistent
+
+
+def test_non_integral_digits_never_reach_verification():
+    # 7.5 = 2 * 3.75 with every recurrence step exact, yet no digit is whole.
+    with pytest.raises(ValueError):
+        verify_witness(
+            PermutipleWitness(
+                Params(2, 4),
+                DigitVec((0.5, 1.75), 4),
+                DigitVec((1.75, 0.5), 4),
+                CarrySeq((0, 0.75, 0)),
+            )
+        )
+    assert DigitVec((1.0, 2), 4).digits == (1, 2)
 
 
 def test_verify_without_sigma_uses_multisets():

@@ -8,12 +8,14 @@ from permutiples import (
     EnumerationOptions,
     Params,
     PermutipleWitness,
+    brute_force_search,
     build_mother_graph,
     condition_report,
     count_circuits,
     count_sequences_by_arborescences,
     enumerate_cycles,
     enumerate_strings,
+    equivalence_check,
     find_eulerian_circuit,
     graph_of_witness,
     string_to_witness,
@@ -22,7 +24,12 @@ from permutiples import (
     verify_witness,
 )
 from permutiples import euler
-from permutiples.euler import FORBID_LEADING_ZERO, NUMERICALLY_DISTINCT
+from permutiples.euler import (
+    ALLOW_LEADING_ZERO,
+    FORBID_LEADING_ZERO,
+    LABEL_DISTINCT,
+    NUMERICALLY_DISTINCT,
+)
 
 P24 = Params(2, 4)
 P410 = Params(4, 10)
@@ -237,6 +244,7 @@ def test_counts_on_known_unions():
     assert count_circuits(union24(I_LOOP0)) == (1, 1)
     assert count_circuits(union24(I_LOOP3)) == (0, 0)
     assert count_circuits(union24(I_TWO)) == (0, 0)
+    assert count_circuits(union24(I_LOOP0, I_LOOP3)) == (0, 0)  # balanced, disconnected
     assert count_circuits(union_images(CycleMultiset(()), P24, INV24)) == (0, 0)
 
 
@@ -251,3 +259,52 @@ def test_arborescence_count_alone():
     assert count_sequences_by_arborescences(union24(I_TWO, I_THREE_A)) == 6
     assert count_sequences_by_arborescences(union24(I_THREE_A, I_THREE_A)) == 48
     assert count_sequences_by_arborescences(union24(I_LOOP3)) == 0
+    assert count_sequences_by_arborescences(union24(I_LOOP0, I_LOOP3)) == 0
+
+
+def test_count_alone_decides_acceptance(monkeypatch):
+    # Counting, walking and the pipeline sweep never run the condition
+    # report or a strong-connectivity pass; the BEST count gates them all.
+    def forbidden(*_):
+        raise AssertionError("acceptance decided outside the BEST count")
+
+    monkeypatch.setattr(euler, "condition_report", forbidden)
+    monkeypatch.setattr(euler, "strongly_connected_components", forbidden)
+    for indices, counts, strings in [
+        ((I_TWO, I_THREE_A), (6, 3), {
+            "(2,1)(0,2)(1,2)(1,0)(2,1)",
+            "(2,1)(2,1)(0,2)(1,2)(1,0)",
+            "(0,2)(1,2)(1,0)(2,1)(2,1)",
+        }),
+        ((I_LOOP0, I_THREE_A), (6, 6), {
+            "(0,0)(2,1)(0,2)(1,0)",
+            "(0,0)(0,2)(1,0)(2,1)",
+            "(2,1)(0,0)(0,2)(1,0)",
+            "(2,1)(0,2)(1,0)(0,0)",
+            "(0,2)(1,0)(0,0)(2,1)",
+            "(0,2)(1,0)(2,1)(0,0)",
+        }),
+        ((I_THREE_B,), (1, 1), {"(2,3)(1,2)(3,1)"}),
+        ((I_LOOP0,), (1, 1), {"(0,0)"}),
+        ((I_LOOP3,), (0, 0), set()),
+        ((I_TWO,), (0, 0), set()),
+        ((I_LOOP0, I_LOOP3), (0, 0), set()),
+        ((), (0, 0), set()),
+    ]:
+        g = union24(*indices)
+        assert count_circuits(g) == counts
+        assert count_sequences_by_arborescences(g) == counts[0]
+        zero_led = tuple(f"(0,{d})" for d in range(4))  # last pair writes the leading digit
+        by_mode = {
+            ALLOW_LEADING_ZERO: strings,
+            FORBID_LEADING_ZERO: {t for t in strings if not t.endswith(zero_led)},
+        }
+        for dedup in (LABEL_DISTINCT, NUMERICALLY_DISTINCT):
+            for leading, expected in by_mode.items():
+                got = enumerate_strings(g, EnumerationOptions(dedup=dedup, leading_zero=leading))
+                assert {str(s) for s in got} == expected and len(got) == len(expected)
+    with pytest.raises(CapExceededError):
+        enumerate_strings(union24(I_THREE_A, I_THREE_A), EnumerationOptions(cap=5))
+    rep = equivalence_check(P24, 6)
+    assert rep.match and rep.pipeline_values
+    assert rep.pipeline_values == tuple(value(w.digits) for w in brute_force_search(P24, 6))

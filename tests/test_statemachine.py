@@ -111,6 +111,12 @@ def test_single_pair_queries_build_no_table():
     assert step == (1, 0) and all(type(c) is int for c in step)
 
 
+def test_carry_step_cache_keeps_one_table():
+    build_hs_multigraph(P24)
+    build_hs_multigraph(P410)
+    assert _carry_steps.cache_info().currsize == 1
+
+
 # === full machine ===
 
 
