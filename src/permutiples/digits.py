@@ -31,7 +31,8 @@ __all__ = [
 
 
 def _integral(x) -> bool:
-    # Integral floats pass, as they do as pair digits; inf and nan do not.
+    # Integral floats pass, as they do as pair digits, and are stored as
+    # ints; inf and nan do not.
     return x % 1 == 0
 
 
@@ -62,16 +63,20 @@ class DigitVec:
     base: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
+        digits = tuple(self.digits)
         if self.base < 2:
             raise ValueError(f"base must be at least 2, got {self.base}")
-        if not self.digits:
+        if not digits:
             raise ValueError("digit vector must hold at least one digit")
-        for d in self.digits:
+        exact = True
+        for d in digits:
             if not 0 <= d < self.base:
                 raise ValueError(f"digit {d} out of range for base {self.base}")
-            if not _integral(d):
-                raise ValueError(f"digit {d} is not an integer")
+            if type(d) is not int:
+                if not _integral(d):
+                    raise ValueError(f"digit {d} is not an integer")
+                exact = False
+        object.__setattr__(self, "digits", digits if exact else tuple(map(int, digits)))
 
     @classmethod
     def _trusted(cls, digits: tuple[int, ...], base: int) -> "DigitVec":
@@ -105,14 +110,18 @@ class CarrySeq:
     carries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "carries", tuple(self.carries))
-        if not self.carries:
+        carries = tuple(self.carries)
+        if not carries:
             raise ValueError("carry sequence must not be empty")
-        if self.carries[0] != 0:
-            raise ValueError(f"initial carry must be 0, got {self.carries[0]}")
-        for c in self.carries:
-            if not _integral(c):
-                raise ValueError(f"carry {c} is not an integer")
+        if carries[0] != 0:
+            raise ValueError(f"initial carry must be 0, got {carries[0]}")
+        exact = True
+        for c in carries:
+            if type(c) is not int:
+                if not _integral(c):
+                    raise ValueError(f"carry {c} is not an integer")
+                exact = False
+        object.__setattr__(self, "carries", carries if exact else tuple(map(int, carries)))
 
     @classmethod
     def _trusted(cls, carries: tuple[int, ...]) -> "CarrySeq":

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator, Sequence
 
 from .digits import (
     DigitVec,
@@ -42,9 +43,9 @@ from .euler import (
     EnumerationOptions,
     enumerate_strings,
 )
-from .mothergraph import DEFAULT_MAX_CYCLES, build_mother_graph, enumerate_cycles
-from .mothergraph import _multiply, _step
-from .statemachine import CycleMultiset, union_images
+from .mothergraph import DEFAULT_MAX_CYCLES, Cycle, build_mother_graph, enumerate_cycles
+from .mothergraph import _carry_steps, _multiply, _step
+from .statemachine import CycleMultiset, LabeledMultiedge, union_images
 
 __all__ = [
     "EquivalenceReport",
@@ -94,6 +95,33 @@ def _signature_table(b: int, width: int, field: int) -> list[int]:
     return table
 
 
+def _scan_hits(p: Params, length: int) -> Iterator[tuple[int, int]]:
+    """The (m, q) pairs of every length-digit permutiple m = n*q, ordered by m.
+
+    The caller has checked the budget.  A hit still meets the full defining
+    equation: m has exactly `length` digits and q's zero-padded digits are
+    a permutation of m's.
+    """
+    if length == 1:
+        # m = n*q > q, so their single digits differ.  Returning here also
+        # spares a one-digit scan of a huge base its tables: signatures are
+        # b*field bits wide, and a width-1 table holds b of them.
+        return
+    n, b = p.n, p.b
+    q_first, q_last, stride = _scan_range(p, length)
+    field = length.bit_length()
+    low_width = length // 2
+    split = b**low_width
+    low = _signature_table(b, low_width, field)
+    high = _signature_table(b, length - low_width, field)
+    for q in range(q_first, q_last + 1, stride):
+        m = n * q
+        m_high, m_low = divmod(m, split)
+        q_high, q_low = divmod(q, split)
+        if high[m_high] + low[m_low] == high[q_high] + low[q_low]:
+            yield m, q
+
+
 def brute_force_search(
     p: Params, length: int, max_scan: int = DEFAULT_MAX_SCAN
 ) -> tuple[PermutipleWitness, ...]:
@@ -111,27 +139,10 @@ def brute_force_search(
     still counts all b**length candidates.
     """
     _check_budget(p, length, max_scan)
-    if length == 1:
-        # m = n*q > q, so their single digits differ.  Returning here also
-        # spares a one-digit scan of a huge base its tables: signatures are
-        # b*field bits wide, and a width-1 table holds b of them.
-        return ()
-    n, b = p.n, p.b
-    q_first, q_last, stride = _scan_range(p, length)
-    field = length.bit_length()
-    low_width = length // 2
-    split = b**low_width
-    low = _signature_table(b, low_width, field)
-    high = _signature_table(b, length - low_width, field)
     results = []
-    for q in range(q_first, q_last + 1, stride):
-        m = n * q
-        m_high, m_low = divmod(m, split)
-        q_high, q_low = divmod(q, split)
-        if high[m_high] + low[m_low] != high[q_high] + low[q_low]:
-            continue
-        dm = digits_of(m, b, length)
-        dq = digits_of(q, b, length)
+    for m, q in _scan_hits(p, length):
+        dm = digits_of(m, p.b, length)
+        dq = digits_of(q, p.b, length)
         results.append(
             PermutipleWitness(p, dm, dq, carry_sequence(dm, dq, p), find_permutation(dm, dq))
         )
@@ -221,6 +232,32 @@ def _cycle_multisets(cycle_lengths, total):
         stack.append([i + 1, remaining - k * cycle_lengths[i], 0, len(out)])
 
 
+def _balance_codes(
+    inventory: Sequence[Cycle], p: Params, length: int
+) -> tuple[list[int], list[bool]]:
+    """Per inventory cycle: packed carry-degree deltas, and contact with carry 0.
+
+    Each edge c1 -> c2 adds place**c2 - place**c1, so slot s of a code holds
+    indegree minus outdegree of carry s.  In a union of `length` edges every
+    slot stays within -length..length, and with place = 2*length + 1 no slot
+    can carry into the next: the summed code is 0 exactly when the union is
+    balanced.
+    """
+    place = 2 * length + 1
+    weight = [place**c for c in range(p.n)]
+    steps = _carry_steps(p)
+    codes, touches = [], []
+    for cycle in inventory:
+        code, zero = 0, False
+        for pair in cycle.edges:
+            c1, c2 = steps[pair]
+            code += weight[c2] - weight[c1]
+            zero = zero or c1 == 0 or c2 == 0
+        codes.append(code)
+        touches.append(zero)
+    return codes, touches
+
+
 def equivalence_check(
     p: Params,
     length: int,
@@ -233,16 +270,30 @@ def equivalence_check(
     Pipeline route: every multiset of canonical mother-graph cycles whose
     edge total is `length`, unioned, enumerated with leading zeros
     forbidden, and each walked string read off as the product its first
-    components spell.  Scan route: brute_force_search.  Any symmetric
-    difference means one side is wrong.
+    components spell.  Scan route: the brute-force scan's products.  Any
+    symmetric difference means one side is wrong.
+
+    The scan budget is checked before anything runs.  Balance and contact
+    with carry 0 add up over cycle images, so a multiset that fails either
+    is dropped from per-cycle data before its union is built; the BEST
+    count then decides the rest.  Distinct multisets can share one union,
+    and each union is walked once.
     """
+    _check_budget(p, length, max_scan)
     inventory = enumerate_cycles(build_mother_graph(p), max_cycles=max_cycles)
     lengths = [len(c.edges) for c in inventory]
+    codes, touches = _balance_codes(inventory, p, length)
     opts = EnumerationOptions(leading_zero=FORBID_LEADING_ZERO, cap=max_strings)
     pipeline: set[int] = set()
+    walked: set[tuple[LabeledMultiedge, ...]] = set()
     for counts in _cycle_multisets(lengths, length):
+        if sum(mult * codes[i] for i, mult in counts) or not any(touches[i] for i, _ in counts):
+            continue
         g = union_images(CycleMultiset(counts), p, inventory)
+        if g.multiedges in walked:
+            continue
+        walked.add(g.multiedges)
         for s in enumerate_strings(g, opts):
             pipeline.add(value(DigitVec._trusted(tuple(pair.d1 for pair in s.pairs), p.b)))
-    brute = {value(w.digits) for w in brute_force_search(p, length, max_scan=max_scan)}
-    return EquivalenceReport(p, length, tuple(sorted(pipeline)), tuple(sorted(brute)))
+    brute = tuple(m for m, _ in _scan_hits(p, length))
+    return EquivalenceReport(p, length, tuple(sorted(pipeline)), brute)

@@ -307,6 +307,23 @@ def test_budget_exit_code(capsys):
     assert err == ""
 
 
+def test_equiv_checks_the_scan_budget_first(capsys, monkeypatch):
+    # 10**12 candidates: the run must fail before the cycle search and the sweep
+    def no_cycles(*args, **kwargs):
+        raise AssertionError("cycle search ran on an over-budget equiv")
+
+    monkeypatch.setattr("permutiples.oracle.enumerate_cycles", no_cycles)
+    code, out, err = run(capsys, "equiv", "--n", "4", "--b", "10", "--len", "12")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "error: scanning 12 base-10 digits needs 1000000000000 candidates, " \
+                  "budget is 10000000\n"
+    # so does a length with no digits
+    code, _, err = run(capsys, "equiv", "--n", "4", "--b", "10", "--len", "0")
+    assert code == EXIT_USAGE
+    assert err == "error: length must be positive, got 0\n"
+
+
 def test_cap_exit_code(capsys):
     code, _, err = run(
         capsys,

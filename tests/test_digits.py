@@ -46,6 +46,19 @@ def test_digitvec_rejects_bad_input(digits, base):
         DigitVec(digits, base)
 
 
+def test_integral_floats_are_stored_as_ints():
+    v = DigitVec((1.0, 2), 4)
+    assert str(v) == "(2,1)_4"
+    assert v == DigitVec((1, 2), 4)
+    assert [type(d) for d in v.digits] == [int, int]
+    c = CarrySeq((0.0, 3.0, 0))
+    assert c.carries == (0, 3, 0)
+    assert [type(x) for x in c] == [int, int, int]
+    w = PermutipleWitness.build(Params(2, 4), DigitVec.from_msd([1.0, 0, 2.0], 4),
+                                DigitVec.from_msd([0, 2.0, 1], 4), find_sigma=True)
+    assert str(w.digits) == "(1,0,2)_4" and verify_witness(w).is_permutiple
+
+
 def test_value_examples():
     assert value(DigitVec.from_msd([8, 7, 9, 1, 2], 10)) == 87912
     assert value(DigitVec.from_msd([1, 0, 2], 4)) == 18

@@ -5,18 +5,24 @@ import pytest
 from helpers import cycle_index, naive_palintiple_count, naive_permutiples, peel_cycle_cover
 from permutiples import (
     BudgetExceededError,
+    CycleMultiset,
     EquivalenceReport,
     Params,
     brute_force_search,
     build_mother_graph,
+    condition_report,
+    count_sequences_by_arborescences,
     edge_allowed,
     enumerate_cycles,
+    enumerate_strings,
     equivalence_check,
+    oracle,
     palintiple_count,
+    union_images,
     value,
     verify_witness,
 )
-from permutiples.oracle import _signature_table
+from permutiples.oracle import _cycle_multisets, _signature_table
 
 P24 = Params(2, 4)
 P410 = Params(4, 10)
@@ -195,3 +201,71 @@ def test_equivalence_report_surfaces_mismatches():
     assert rep.only_pipeline == (36,)
     assert rep.only_brute == (54,)
     assert not rep.match
+
+
+@pytest.mark.parametrize("n,b", sorted(NAIVE_CASES))
+def test_equivalence_reads_the_scan_products(n, b):
+    # the sweep keeps only m of each hit; the witnesses must spell the same values
+    p = Params(n, b)
+    for length in NAIVE_CASES[(n, b)]:
+        rep = equivalence_check(p, length)
+        assert rep.brute_values == tuple(value(w.digits) for w in brute_force_search(p, length))
+
+
+def _built_unions(monkeypatch, p, length):
+    """The multisets equivalence_check builds a union for, in order."""
+    built = []
+
+    def spy(ms, params, inventory):
+        built.append(ms.counts)
+        return union_images(ms, params, inventory)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "union_images", spy)
+        assert equivalence_check(p, length).match
+    return built
+
+
+# Every n < b <= 6 at each length with at most 20 000 candidates, plus (4, 10, 5..6).
+FILTER_CASES = [(n, b, L) for b in range(3, 7) for n in range(2, b)
+                for L in range(1, 10) if b**L <= 20_000]
+FILTER_CASES += [(4, 10, 5), (4, 10, 6)]
+
+
+def test_balance_filter_is_sound(monkeypatch):
+    # A union is built exactly for the multisets that are balanced and touch
+    # carry 0, so every multiset whose union spells strings gets one.
+    for n, b, length in FILTER_CASES:
+        p = Params(n, b)
+        inventory = enumerate_cycles(build_mother_graph(p))
+        built = _built_unions(monkeypatch, p, length)
+        assert len(set(built)) == len(built)
+        for counts in _cycle_multisets([len(c) for c in inventory], length):
+            g = union_images(CycleMultiset(counts), p, inventory)
+            report = condition_report(g)
+            passes = report.balanced and report.contains_zero
+            assert (counts in built) == passes, (n, b, length, counts)
+            if count_sequences_by_arborescences(g):
+                assert passes, (n, b, length, counts)
+
+
+@pytest.mark.parametrize("n,b,length,built,visited", [(3, 4, 8, 65, 1259), (4, 10, 5, 97, 852)])
+def test_balance_filter_counts(monkeypatch, n, b, length, built, visited):
+    p = Params(n, b)
+    inventory = enumerate_cycles(build_mother_graph(p))
+    assert sum(1 for _ in _cycle_multisets([len(c) for c in inventory], length)) == visited
+    assert len(_built_unions(monkeypatch, p, length)) == built
+
+
+def test_each_union_is_walked_once(monkeypatch):
+    built = _built_unions(monkeypatch, P24, 8)
+    walked = []
+
+    def spy(g, opts):
+        walked.append(g.multiedges)
+        return enumerate_strings(g, opts)
+
+    monkeypatch.setattr(oracle, "enumerate_strings", spy)
+    rep = equivalence_check(P24, 8)
+    assert len(set(walked)) == len(walked) < len(built)  # duplicate unions were skipped
+    assert rep.match and len(rep.pipeline_values) == 1701
