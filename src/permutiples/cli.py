@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -54,6 +56,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_DOMAIN = 4
 
+# The acceptance conditions check reports flag by flag.
+_CONDITIONS = ("contains_zero", "strongly_connected", "balanced")
+
 
 def _exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, (BudgetExceededError, CapExceededError)):
@@ -71,6 +76,14 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _row(name: str, text: str) -> str:
+    return f"  {name + ':':20}{text}"
+
+
+def _flag_rows(flags: dict) -> list[str]:
+    return [_row(name, _yesno(flag)) for name, flag in flags.items()]
+
+
 def _params(args) -> Params:
     return Params(args.n, args.b)
 
@@ -84,11 +97,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{what} must be comma-separated integers, got {text!r}") from None
-
-
-def _no_dot(args) -> None:
-    if args.format == "dot":
-        raise ValueError(f"DOT output is not available for '{args.command}'")
 
 
 def _multigraph_payload(g) -> dict:
@@ -150,7 +158,6 @@ def _handle_mother(args) -> str:
 
 
 def _handle_cycles(args) -> str:
-    _no_dot(args)
     p = _params(args)
     inventory = _inventory(args, p)
     if args.format == "json":
@@ -197,36 +204,35 @@ def _cycle_multiset(args) -> CycleMultiset:
 
 
 def _handle_check(args) -> str:
-    _no_dot(args)
     p = _params(args)
     ms = _cycle_multiset(args)
     g = union_images(ms, p, _inventory(args, p))
     report = condition_report(g)
+    conditions = {name: getattr(report, name) for name in _CONDITIONS}
     counts = count_circuits(g)
     if args.format == "json":
         return _json(
             {
                 "params": _params_payload(p),
                 "cycles": [[i, m] for i, m in ms.items()],
-                "contains_zero": report.contains_zero,
-                "strongly_connected": report.strongly_connected,
-                "balanced": report.balanced,
+                **conditions,
                 "degree_deltas": [[s, d] for s, d in report.degree_deltas],
                 "verdict": report.verdict,
                 "edge_sequences_from_zero": counts.edge_sequences_from_zero,
                 "label_distinct_circuits": counts.label_distinct,
             }
         )
+    deltas = " ".join(f"{s}:{d:+d}" for s, d in report.degree_deltas)
     lines = [
         f"cycle multiset {ms} over {p}: {len(g.multiedges)} multiedges",
-        f"  contains_zero:      {_yesno(report.contains_zero)}",
-        f"  strongly_connected: {_yesno(report.strongly_connected)}",
-        f"  balanced:           {_yesno(report.balanced)}",
-        "  degree deltas:      "
-        + (" ".join(f"{s}:{d:+d}" for s, d in report.degree_deltas) or "(none)"),
-        f"  verdict:            {'accepted' if report.verdict else 'rejected'}",
-        f"  circuits:           {counts.label_distinct} label-distinct, "
-        f"{counts.edge_sequences_from_zero} edge sequences from state 0",
+        *_flag_rows(conditions),
+        _row("degree deltas", deltas or "(none)"),
+        _row("verdict", "accepted" if report.verdict else "rejected"),
+        _row(
+            "circuits",
+            f"{counts.label_distinct} label-distinct, "
+            f"{counts.edge_sequences_from_zero} edge sequences from state 0",
+        ),
     ]
     return "\n".join(lines) + "\n"
 
@@ -238,7 +244,6 @@ def _enum_options(args) -> EnumerationOptions:
 
 
 def _handle_strings(args) -> str:
-    _no_dot(args)
     p = _params(args)
     ms = _cycle_multiset(args)
     g = union_images(ms, p, _inventory(args, p))
@@ -263,41 +268,19 @@ def _handle_strings(args) -> str:
 
 
 def _handle_verify(args) -> str:
-    _no_dot(args)
     p = _params(args)
     digits = DigitVec.from_msd(_parse_int_list(args.digits, "--digits"), p.b)
     permuted = DigitVec.from_msd(_parse_int_list(args.permuted, "--permuted"), p.b)
     w = PermutipleWitness.build(p, digits, permuted, find_sigma=True)
     report = verify_witness(w)
+    flags = dataclasses.asdict(report)
+    flags["is_permutiple"] = report.is_permutiple
     if args.format == "json":
-        return _json(
-            {
-                "params": _params_payload(p),
-                **_witness_payload(w),
-                "multisets_equal": report.multisets_equal,
-                "value_relation": report.value_relation,
-                "carries_consistent": report.carries_consistent,
-                "final_carry_zero": report.final_carry_zero,
-                "carries_bounded": report.carries_bounded,
-                "sigma_consistent": report.sigma_consistent,
-                "is_permutiple": report.is_permutiple,
-            }
-        )
-    lines = [
-        f"claim: {w}",
-        f"  multisets_equal:    {_yesno(report.multisets_equal)}",
-        f"  value_relation:     {_yesno(report.value_relation)}",
-        f"  carries_consistent: {_yesno(report.carries_consistent)}",
-        f"  final_carry_zero:   {_yesno(report.final_carry_zero)}",
-        f"  carries_bounded:    {_yesno(report.carries_bounded)}",
-        f"  sigma_consistent:   {_yesno(report.sigma_consistent)}",
-        f"  is_permutiple:      {_yesno(report.is_permutiple)}",
-    ]
-    return "\n".join(lines) + "\n"
+        return _json({"params": _params_payload(p), **_witness_payload(w), **flags})
+    return "\n".join([f"claim: {w}", *_flag_rows(flags)]) + "\n"
 
 
 def _handle_search(args) -> str:
-    _no_dot(args)
     p = _params(args)
     witnesses = brute_force_search(p, args.length, max_scan=args.max_scan)
     if args.format == "json":
@@ -315,7 +298,6 @@ def _handle_search(args) -> str:
 
 
 def _handle_palintiples(args) -> str:
-    _no_dot(args)
     p = _params(args)
     count = palintiple_count(p, args.length, max_scan=args.max_scan)
     if args.format == "json":
@@ -324,7 +306,6 @@ def _handle_palintiples(args) -> str:
 
 
 def _handle_equiv(args) -> str:
-    _no_dot(args)
     p = _params(args)
     report = equivalence_check(
         p,
@@ -359,16 +340,65 @@ def _handle_equiv(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: an int of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        # argparse's own wording for a malformed int.
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {count}")
+    return count
+
+
+# Every option but --n, --b and --format, stated once.
+_OPTIONS = {
+    "--cycle": {"type": int, "required": True, "help": "canonical cycle index"},
+    "--cycles": {"required": True, "help": "cycle indices, e.g. 3,3,5"},
+    "--max-cycles": {"type": _count, "default": DEFAULT_MAX_CYCLES},
+    "--max-strings": {"type": _count, "default": DEFAULT_MAX_STRINGS},
+    "--forbid-leading-zero": {"action": "store_true"},
+    "--dedup": {"choices": ["label", "numeric"], "default": "label"},
+    "--digits": {"required": True, "help": "product digits, most significant first"},
+    "--permuted": {"required": True, "help": "multiplicand digits, most significant first"},
+    "--len": {"dest": "length", "type": int, "required": True},
+    "--max-scan": {"type": int, "default": DEFAULT_MAX_SCAN},
+}
+
+# Subcommand -> (help, its options in usage order).  main runs each one
+# through _handle_<subcommand>.
+_COMMANDS = {
+    "mother": ("all allowed digit pairs for (n, b)", ()),
+    "cycles": ("canonical cycle inventory of the mother graph", ("--max-cycles",)),
+    "multigraph": ("the labeled carry-state multigraph", ()),
+    "image": ("carry-machine image of one cycle", ("--cycle", "--max-cycles")),
+    "check": ("acceptance conditions for a cycle multiset", ("--cycles", "--max-cycles")),
+    "strings": (
+        "enumerate strings of a cycle multiset",
+        ("--cycles", "--max-cycles", "--max-strings", "--forbid-leading-zero", "--dedup"),
+    ),
+    "verify": ("check one claimed digits = n * permuted relation", ("--digits", "--permuted")),
+    "search": ("brute-force scan for permutiples of one length", ("--len", "--max-scan")),
+    "palintiples": ("count reversal permutiples of one length", ("--len", "--max-scan")),
+    "equiv": (
+        "pipeline vs brute-force agreement for one length",
+        ("--len", "--max-scan", "--max-strings", "--max-cycles"),
+    ),
+}
+
+# The graph-shaped subcommands, the only ones with DOT output.
+_GRAPH_COMMANDS = ("mother", "multigraph", "image")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permutiples",
         description="Recognize, generate, and enumerate permutiple numbers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str):
+    for name, (help_text, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(handler=handler)
         sp.add_argument("--n", type=int, required=True, help="digit multiplier, 1 < n < b")
         sp.add_argument("--b", type=int, required=True, help="base, at least 2")
         sp.add_argument(
@@ -377,55 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
             default="table",
             help="output format (dot only for graph-shaped commands)",
         )
-        return sp
-
-    add("mother", _handle_mother, "all allowed digit pairs for (n, b)")
-
-    sp = add("cycles", _handle_cycles, "canonical cycle inventory of the mother graph")
-    sp.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
-
-    add("multigraph", _handle_multigraph, "the labeled carry-state multigraph")
-
-    sp = add("image", _handle_image, "carry-machine image of one cycle")
-    sp.add_argument("--cycle", type=int, required=True, help="canonical cycle index")
-    sp.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
-
-    sp = add("check", _handle_check, "acceptance conditions for a cycle multiset")
-    sp.add_argument("--cycles", required=True, help="cycle indices, e.g. 3,3,5")
-    sp.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
-
-    sp = add("strings", _handle_strings, "enumerate strings of a cycle multiset")
-    sp.add_argument("--cycles", required=True, help="cycle indices, e.g. 3,3,5")
-    sp.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
-    sp.add_argument("--max-strings", type=int, default=DEFAULT_MAX_STRINGS)
-    sp.add_argument("--forbid-leading-zero", action="store_true")
-    sp.add_argument("--dedup", choices=["label", "numeric"], default="label")
-
-    sp = add("verify", _handle_verify, "check one claimed digits = n * permuted relation")
-    sp.add_argument("--digits", required=True, help="product digits, most significant first")
-    sp.add_argument("--permuted", required=True, help="multiplicand digits, most significant first")
-
-    sp = add("search", _handle_search, "brute-force scan for permutiples of one length")
-    sp.add_argument("--len", dest="length", type=int, required=True)
-    sp.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN)
-
-    sp = add("palintiples", _handle_palintiples, "count reversal permutiples of one length")
-    sp.add_argument("--len", dest="length", type=int, required=True)
-    sp.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN)
-
-    sp = add("equiv", _handle_equiv, "pipeline vs brute-force agreement for one length")
-    sp.add_argument("--len", dest="length", type=int, required=True)
-    sp.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN)
-    sp.add_argument("--max-strings", type=int, default=DEFAULT_MAX_STRINGS)
-    sp.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
-
+        for option in options:
+            sp.add_argument(option, **_OPTIONS[option])
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: parse_args leaves no state behind in it.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     # Circuit counts grow factorially (5000 copies of one loop count 5000!
@@ -434,7 +429,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if int_digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        out = args.handler(args)
+        if args.format == "dot" and args.command not in _GRAPH_COMMANDS:
+            raise ValueError(f"DOT output is not available for '{args.command}'")
+        out = globals()[f"_handle_{args.command}"](args)
     except (PermutipleError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

@@ -77,9 +77,9 @@ class HSMultigraph:
 
     multiedges is kept sorted; repeated entries are how a multiset union
     carries the same labeled transition more than once.  Every entry must
-    have base-b digits in its label and satisfy the carry recurrence
-    b*c2 - c1 = n*d2 - d1.  This module's own builders skip the checks
-    through _trusted.
+    be the carry step its label induces, by the rule transition() solves;
+    non-digit labels, rejected pairs and wrong carries raise ValueError.
+    This module's own builders skip the check through _trusted.
     """
 
     params: Params
@@ -90,14 +90,9 @@ class HSMultigraph:
             sorted(LabeledMultiedge(c1, c2, DigitPair(*lbl)) for c1, c2, lbl in self.multiedges)
         )
         object.__setattr__(self, "multiedges", canon)
-        n, b = self.params.n, self.params.b
         for e in canon:
-            if not (0 <= e.c1 < n and 0 <= e.c2 < n):
-                raise ValueError(f"state of {e} outside 0..{n - 1}")
-            if not (0 <= e.label.d1 < b and 0 <= e.label.d2 < b):
-                raise ValueError(f"label of {e} is not made of base-{b} digits")
-            if b * e.c2 - e.c1 != n * e.label.d2 - e.label.d1:
-                raise ValueError(f"multiedge {e} breaks the carry recurrence")
+            if _step(e.label, self.params) != (e.c1, e.c2):
+                raise ValueError(f"multiedge {e} is not the carry step of its label")
 
     @classmethod
     def _trusted(cls, p: Params, multiedges: tuple[LabeledMultiedge, ...]) -> "HSMultigraph":
@@ -106,10 +101,6 @@ class HSMultigraph:
         object.__setattr__(g, "params", p)
         object.__setattr__(g, "multiedges", multiedges)
         return g
-
-    @property
-    def states(self) -> range:
-        return range(self.params.n)
 
     def active_states(self) -> tuple[int, ...]:
         """States with at least one incident multiedge, ascending."""
@@ -140,8 +131,7 @@ def build_hs_multigraph(p: Params) -> HSMultigraph:
 
 def cycle_multi_image(cycle: Cycle, p: Params) -> HSMultigraph:
     """The sub-multigraph the carry machine assigns to one digit cycle."""
-    edges = [LabeledMultiedge(*transition(pair, p), pair) for pair in cycle.edges]
-    return HSMultigraph._trusted(p, tuple(sorted(edges)))
+    return union_images(CycleMultiset.from_indices([0]), p, [cycle])
 
 
 @dataclass(frozen=True)

@@ -345,6 +345,25 @@ def test_cap_fails_before_walking(capsys):
     assert err == "error: more than 100 strings\n"
 
 
+def test_count_flags_are_checked_where_parsed(capsys):
+    # A count below 1 is a usage error naming the flag, ahead of the scan budget.
+    cases = [
+        (("equiv", "--n", "4", "--b", "10", "--len", "12", "--max-strings", "0"),
+         "argument --max-strings: must be positive, got 0"),
+        (("strings", "--n", "2", "--b", "4", "--cycles", "0", "--max-strings", "-1"),
+         "argument --max-strings: must be positive, got -1"),
+        (("cycles", "--n", "2", "--b", "4", "--max-cycles", "0"),
+         "argument --max-cycles: must be positive, got 0"),
+        (("cycles", "--n", "2", "--b", "4", "--max-cycles", "x"),
+         "argument --max-cycles: invalid int value: 'x'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.endswith(f"permutiples {argv[0]}: error: {message}\n")
+
+
 LONG_LOOP = ",".join(["0"] * 5000)  # 5000 copies of the (0,0) self-loop of (2, 4)
 
 
@@ -445,6 +464,35 @@ def test_keyboard_interrupt_propagates(monkeypatch):
     monkeypatch.setattr(cli, "_handle_mother", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["mother", "--n", "2", "--b", "4"])
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for _ in range(5):
+        assert run(capsys, "mother", "--n", "2", "--b", "4")[0] == EXIT_OK
+    assert len(calls) <= 1
+
+
+def test_main_keeps_no_state_between_calls(capsys):
+    argv = ("equiv", "--n", "2", "--b", "4", "--len", "8")
+    code, out, _ = run(capsys, *argv, "--max-strings", "1")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert err == ""
+    assert out.splitlines() == [
+        "equivalence for (n=2, b=4), length 8: MATCH",
+        "  pipeline: 1701 values",
+        "  scan:     1701 values",
+    ]
 
 
 def test_exit_code_mapping():

@@ -168,6 +168,8 @@ def test_multigraph_validates_recurrence():
         HSMultigraph(P24, (LabeledMultiedge(0, 1, DigitPair(0, 0)),))
     with pytest.raises(ValueError):
         HSMultigraph(P24, (LabeledMultiedge(0, 2, DigitPair(0, 0)),))
+    with pytest.raises(ValueError):  # transition() rejects this pair
+        HSMultigraph(P24, (LabeledMultiedge(0, 0, DigitPair(0.5, 0.25)),))
 
 
 def test_multigraph_validates_label_digits():
