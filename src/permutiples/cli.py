@@ -341,7 +341,7 @@ def _handle_equiv(args) -> str:
 
 
 def _count(text: str) -> int:
-    """argparse type of the count flags: an int of at least 1."""
+    """argparse type of the count and budget flags: an int of at least 1."""
     try:
         count = int(text)
     except ValueError:
@@ -363,7 +363,7 @@ _OPTIONS = {
     "--digits": {"required": True, "help": "product digits, most significant first"},
     "--permuted": {"required": True, "help": "multiplicand digits, most significant first"},
     "--len": {"dest": "length", "type": int, "required": True},
-    "--max-scan": {"type": int, "default": DEFAULT_MAX_SCAN},
+    "--max-scan": {"type": _count, "default": DEFAULT_MAX_SCAN},
 }
 
 # Subcommand -> (help, its options in usage order).  main runs each one

@@ -10,7 +10,6 @@ notation.  Everything is plain Python integers, never floating point.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -171,6 +170,8 @@ class PermutipleWitness:
     Shape is validated here (matching lengths and bases, one more carry than
     digits, sigma indices in range when given); whether the claim actually
     holds is the job of verify_witness, which reports rather than raises.
+    The package's own builders, which assemble the parts together, skip the
+    shape check through _trusted.
     """
 
     params: Params
@@ -195,6 +196,24 @@ class PermutipleWitness:
             for i in self.sigma:
                 if not 0 <= i < ell:
                     raise ValueError(f"sigma index {i} out of range")
+
+    @classmethod
+    def _trusted(
+        cls,
+        params: Params,
+        digits: DigitVec,
+        permuted: DigitVec,
+        carries: CarrySeq,
+        sigma: Optional[tuple[int, ...]],
+    ) -> "PermutipleWitness":
+        # Internal: parts built together, already of matching shape.
+        w = object.__new__(cls)
+        object.__setattr__(w, "params", params)
+        object.__setattr__(w, "digits", digits)
+        object.__setattr__(w, "permuted", permuted)
+        object.__setattr__(w, "carries", carries)
+        object.__setattr__(w, "sigma", sigma)
+        return w
 
     @classmethod
     def build(
@@ -286,27 +305,29 @@ def carry_sequence(digits: DigitVec, permuted: DigitVec, p: Params) -> CarrySeq:
 
 
 def verify_witness(w: PermutipleWitness) -> WitnessReport:
-    """Check every defining condition of a permutiple; report, never raise."""
+    """Check every defining condition of a permutiple; report, never raise.
+
+    Each flag is computed from the witness's own digits and carries by
+    plain arithmetic, never from the carry-step table, so the check stays
+    independent of the routes that build witnesses.
+    """
     n, b = w.params.n, w.params.b
     ds = w.digits.digits
     qs = w.permuted.digits
     cs = w.carries.carries
-    ell = len(ds)
-    if w.sigma is None:
-        sigma_consistent = True
-    else:
-        sigma_consistent = len(set(w.sigma)) == ell and all(
-            qs[j] == ds[w.sigma[j]] for j in range(ell)
-        )
+    carries_consistent = True
+    for d, q, c, c_next in zip(ds, qs, cs, cs[1:]):
+        if b * c_next - c != n * q - d:
+            carries_consistent = False
+            break
     return WitnessReport(
-        multisets_equal=Counter(ds) == Counter(qs),
+        multisets_equal=sorted(ds) == sorted(qs),
         value_relation=value(w.digits) == n * value(w.permuted),
-        carries_consistent=all(
-            b * cs[j + 1] - cs[j] == n * qs[j] - ds[j] for j in range(ell)
-        ),
+        carries_consistent=carries_consistent,
         final_carry_zero=cs[-1] == 0,
-        carries_bounded=all(0 <= c <= n - 1 for c in cs),
-        sigma_consistent=sigma_consistent,
+        carries_bounded=0 <= min(cs) and max(cs) <= n - 1,
+        sigma_consistent=w.sigma is None
+        or (len(set(w.sigma)) == len(ds) and tuple([ds[i] for i in w.sigma]) == qs),
     )
 
 

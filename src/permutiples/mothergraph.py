@@ -167,7 +167,8 @@ class Cycle:
     edges[i] runs from vertex edges[i].d1 to edges[i].d2 and consecutive
     edges are incident, wrapping around at the end; no vertex repeats.  The
     rotation starting at the smallest vertex is the canonical form, so equal
-    cycles compare equal no matter how they were traversed.
+    cycles compare equal no matter how they were traversed.  enumerate_cycles
+    builds its cycles through _trusted, which skips these checks.
     """
 
     edges: tuple[DigitPair, ...]
@@ -186,6 +187,13 @@ class Cycle:
             raise ValueError("cycle visits a vertex twice")
         if canon[0].d1 != min(verts):
             raise ValueError("cycle must start at its smallest vertex")
+
+    @classmethod
+    def _trusted(cls, edges: tuple[DigitPair, ...]) -> "Cycle":
+        # Internal: chained, vertex-distinct edges from the smallest vertex.
+        c = object.__new__(cls)
+        object.__setattr__(c, "edges", edges)
+        return c
 
     @classmethod
     def from_vertices(cls, vs: Sequence[int]) -> "Cycle":
@@ -219,7 +227,8 @@ def enumerate_cycles(
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be positive, got {max_cycles}")
     raw = elementary_cycles(g.vertices, g.successors(), limit=max_cycles)
-    cycles = [Cycle.from_vertices(vs) for vs in raw]
+    # Each vertex list is elementary and starts at its smallest vertex.
+    cycles = [Cycle._trusted(tuple(map(DigitPair, vs, vs[1:] + vs[:1]))) for vs in raw]
     cycles.sort(key=lambda c: (len(c.edges), c.edges))
     return tuple(cycles)
 

@@ -27,15 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Sequence
 
-from .digits import (
-    DigitVec,
-    Params,
-    PermutipleWitness,
-    carry_sequence,
-    digits_of,
-    find_permutation,
-    value,
-)
+from .digits import CarrySeq, DigitVec, Params, PermutipleWitness, find_permutation, value
 from .errors import BudgetExceededError
 from .euler import (
     DEFAULT_MAX_STRINGS,
@@ -61,6 +53,8 @@ DEFAULT_MAX_SCAN = 10**7
 def _check_budget(p: Params, length: int, max_scan: int) -> None:
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
+    if max_scan < 1:
+        raise ValueError(f"max_scan must be positive, got {max_scan}")
     if p.b**length > max_scan:
         raise BudgetExceededError(
             f"scanning {length} base-{p.b} digits needs {p.b ** length} candidates, "
@@ -134,17 +128,31 @@ def brute_force_search(
     The scan visits only multiplicands q divisible by (b-1)/gcd(n-1, b-1),
     the only ones whose digit sum can match their product's.  It splits
     m and q at b**(length//2) and compares their digit multisets as sums
-    of two precomputed histogram signatures, one per half; digit vectors,
-    carries and permutations are built for hits only.  The budget check
-    still counts all b**length candidates.
+    of two precomputed histogram signatures, one per half.  Each hit becomes
+    a witness in one pass over q's digits, which writes m's digits and the
+    carries as it multiplies by n; digit vectors, carries and permutations
+    are built for hits only.  The budget check still counts all b**length
+    candidates.
     """
     _check_budget(p, length, max_scan)
+    n, b = p.n, p.b
     results = []
-    for m, q in _scan_hits(p, length):
-        dm = digits_of(m, p.b, length)
-        dq = digits_of(q, p.b, length)
+    for _, q in _scan_hits(p, length):
+        # m = n*q has exactly `length` digits, so every carry is an exact
+        # step in 0..n-1 and the last one is 0.
+        carry, product, multiplicand, carries = 0, [], [], [0]
+        for _ in range(length):
+            q, d2 = divmod(q, b)
+            carry, d1 = divmod(n * d2 + carry, b)
+            product.append(d1)
+            multiplicand.append(d2)
+            carries.append(carry)
+        dm = DigitVec._trusted(tuple(product), b)
+        dq = DigitVec._trusted(tuple(multiplicand), b)
         results.append(
-            PermutipleWitness(p, dm, dq, carry_sequence(dm, dq, p), find_permutation(dm, dq))
+            PermutipleWitness._trusted(
+                p, dm, dq, CarrySeq._trusted(tuple(carries)), find_permutation(dm, dq)
+            )
         )
     return tuple(results)
 

@@ -237,7 +237,8 @@ def string_to_witness(s: PermutipleString, p: Params) -> PermutipleWitness:
 
     Steps are read from the carry-step table; a pair missing from it goes
     through transition(), which raises.  The digits are then known to be in
-    range, so the digit vectors skip re-validation.
+    range and the carries one longer than the digits, so the digit vectors,
+    the carries and the witness skip re-validation.
     """
     table = _carry_steps(p)
     carries = [0]
@@ -257,7 +258,7 @@ def string_to_witness(s: PermutipleString, p: Params) -> PermutipleWitness:
     products, multiplicands = zip(*s.pairs)
     digits = DigitVec._trusted(products, p.b)
     permuted = DigitVec._trusted(multiplicands, p.b)
-    return PermutipleWitness(
+    return PermutipleWitness._trusted(
         p, digits, permuted, CarrySeq._trusted(tuple(carries)), find_permutation(digits, permuted)
     )
 

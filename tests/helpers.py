@@ -1,6 +1,16 @@
 """Content-addressed lookups and brute-force oracles used across test files."""
 
-from permutiples import DigitPair
+from collections import Counter
+
+from permutiples import (
+    DigitPair,
+    PermutipleWitness,
+    WitnessReport,
+    carry_sequence,
+    digits_of,
+    find_permutation,
+    value,
+)
 
 
 def cycle_index(inventory, edges):
@@ -181,3 +191,46 @@ def naive_palintiple_count(p, length):
         padded_digits(p.n * q) == padded_digits(q)[::-1]
         for q in range((lo + p.n - 1) // p.n, (hi - 1) // p.n + 1)
     )
+
+
+def reference_verify_witness(w):
+    """The per-digit generator form of verify_witness, kept as its reference.
+
+    Counter multisets, generator-driven all() over the carry recurrence and
+    the carry bound, and an index-by-index sigma check.  verify_witness
+    must report the same six flags on every witness.
+    """
+    n, b = w.params.n, w.params.b
+    ds = w.digits.digits
+    qs = w.permuted.digits
+    cs = w.carries.carries
+    ell = len(ds)
+    if w.sigma is None:
+        sigma_consistent = True
+    else:
+        sigma_consistent = len(set(w.sigma)) == ell and all(
+            qs[j] == ds[w.sigma[j]] for j in range(ell)
+        )
+    return WitnessReport(
+        multisets_equal=Counter(ds) == Counter(qs),
+        value_relation=value(w.digits) == n * value(w.permuted),
+        carries_consistent=all(
+            b * cs[j + 1] - cs[j] == n * qs[j] - ds[j] for j in range(ell)
+        ),
+        final_carry_zero=cs[-1] == 0,
+        carries_bounded=all(0 <= c <= n - 1 for c in cs),
+        sigma_consistent=sigma_consistent,
+    )
+
+
+def reference_witness(p, length, m):
+    """The witness of the length-digit hit m = n*q through the validating route.
+
+    The reference brute_force_search's one-pass witness builder is checked
+    against: digits_of for both numbers, carry_sequence for the carries
+    (which raises on any step that is not exact), find_permutation, and the
+    public PermutipleWitness constructor.
+    """
+    dm = digits_of(m, p.b, length)
+    dq = digits_of(m // p.n, p.b, length)
+    return PermutipleWitness(p, dm, dq, carry_sequence(dm, dq, p), find_permutation(dm, dq))

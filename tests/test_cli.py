@@ -364,6 +364,21 @@ def test_count_flags_are_checked_where_parsed(capsys):
         assert err.endswith(f"permutiples {argv[0]}: error: {message}\n")
 
 
+def test_max_scan_below_one_is_a_usage_error(capsys):
+    # a budget below 1 names the flag (exit 2); it is not an exceeded budget
+    for command in ("search", "palintiples", "equiv"):
+        for budget in ("0", "-5"):
+            argv = (command, "--n", "2", "--b", "4", "--len", "3", "--max-scan", budget)
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert out == ""
+            message = f"argument --max-scan: must be positive, got {budget}"
+            assert err.endswith(f"permutiples {command}: error: {message}\n")
+    code, out, _ = run(capsys, "search", "--n", "2", "--b", "4", "--len", "3", "--max-scan", "64")
+    assert code == EXIT_OK
+    assert out.startswith("3 permutiples with 3 base-4 digits for n=2\n")
+
+
 LONG_LOOP = ",".join(["0"] * 5000)  # 5000 copies of the (0,0) self-loop of (2, 4)
 
 

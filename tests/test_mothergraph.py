@@ -226,6 +226,17 @@ def test_cycles_match_brute_force_path_search(n, b):
     assert {c.edges for c in inv} == brute_force_cycles(g)
 
 
+@pytest.mark.parametrize(
+    "n,b", [(n, b) for b in range(3, 8) for n in range(2, b)] + [(4, 10)]
+)
+def test_inventory_cycles_equal_validated_cycles(n, b):
+    # enumerate_cycles builds without checks; both public routes must agree
+    inv = enumerate_cycles(build_mother_graph(Params(n, b)))
+    assert list(inv) == [Cycle(c.edges) for c in inv]
+    assert list(inv) == [Cycle.from_vertices(c.vertices) for c in inv]
+    assert all(type(e) is DigitPair for c in inv for e in c.edges)
+
+
 # === dot export ===
 
 

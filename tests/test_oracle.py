@@ -2,7 +2,13 @@ from collections import Counter
 
 import pytest
 
-from helpers import cycle_index, naive_palintiple_count, naive_permutiples, peel_cycle_cover
+from helpers import (
+    cycle_index,
+    naive_palintiple_count,
+    naive_permutiples,
+    peel_cycle_cover,
+    reference_witness,
+)
 from permutiples import (
     BudgetExceededError,
     CycleMultiset,
@@ -109,6 +115,33 @@ def test_scan_budget():
         brute_force_search(P24, 4, max_scan=100)
     with pytest.raises(ValueError):
         brute_force_search(P24, 0)
+
+
+def test_scan_budget_must_be_positive():
+    # a budget below 1 is a bad argument, not an exceeded budget
+    for max_scan in (0, -5):
+        for run in (brute_force_search, palintiple_count, equivalence_check):
+            with pytest.raises(ValueError, match=f"max_scan must be positive, got {max_scan}"):
+                run(P24, 3, max_scan=max_scan)
+    with pytest.raises(BudgetExceededError):
+        brute_force_search(P24, 3, max_scan=1)
+    assert brute_force_search(P24, 3, max_scan=64) == brute_force_search(P24, 3)
+
+
+@pytest.mark.parametrize(
+    "n,b,length",
+    [(2, 4, length) for length in range(1, 7)]
+    + [(3, 4, length) for length in range(1, 7)]
+    + [(2, 5, length) for length in range(1, 6)]
+    + [(3, 5, length) for length in range(1, 6)]
+    + [(2, 4, 8)],
+)
+def test_scan_witnesses_equal_validated_route(n, b, length):
+    # criterion 7's cases and (2, 4, 8): the one-pass trusted witnesses
+    # against digits_of -> carry_sequence -> find_permutation -> constructor
+    p = Params(n, b)
+    expected = tuple(reference_witness(p, length, m) for m in naive_permutiples(p, length))
+    assert brute_force_search(p, length, max_scan=b**length) == expected
 
 
 def test_scan_pairs_decompose_into_inventory_cycles():

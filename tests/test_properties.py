@@ -5,10 +5,12 @@ closed-form transitions against the defining carry recurrence, the
 determinant circuit count against a backtracking walk (kept in helpers) and
 against the enumerator, the single-circuit search against the
 three-condition report, enumerated strings against direct verification
-of the numbers they spell, and the cycle-multiset sweep against a plain
-itertools.product search.
+of the numbers they spell, the cycle-multiset sweep against a plain
+itertools.product search, and the witness check against its per-digit
+reference form.
 """
 
+import dataclasses
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -17,11 +19,14 @@ from math import factorial
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import backtracking_label_distinct, cycle_index
+from helpers import backtracking_label_distinct, cycle_index, reference_verify_witness
 from permutiples import (
+    CarrySeq,
     CycleMultiset,
+    DigitVec,
     EnumerationOptions,
     Params,
+    PermutipleWitness,
     brute_force_search,
     build_hs_multigraph,
     build_mother_graph,
@@ -31,6 +36,7 @@ from permutiples import (
     enumerate_cycles,
     enumerate_strings,
     find_eulerian_circuit,
+    find_permutation,
     string_to_witness,
     transition,
     union_images,
@@ -208,3 +214,76 @@ def test_cycle_multiset_sweep_matches_product(lengths, total):
     # inventories come sorted by length; the sweep's pruning must not rely on it
     for order in (sorted(lengths), lengths):
         assert list(_cycle_multisets(order, total)) == product_multisets(order, total)
+
+
+# Genuine permutiples, so that witnesses with every flag set are drawn too.
+GENUINE = [
+    w
+    for p, length in [(Params(2, 4), 6), (Params(3, 5), 5), (Params(4, 10), 5)]
+    for w in brute_force_search(p, length)
+]
+
+
+@st.composite
+def public_witnesses(draw):
+    """Witnesses built through the public constructors, true claims or not.
+
+    Digits are random, a shuffle of each other, or a genuine permutiple's.
+    Carries are derived by floor division (so they leave 0..n-1 on a false
+    claim) or random, negative and >= n included.  sigma is None, the
+    greedy permutation (None when the multisets differ), any bijection, an
+    index list that matches digit by digit but repeats indices, or any
+    index list.
+    """
+    genuine = draw(st.booleans())
+    if genuine:
+        w = draw(st.sampled_from(GENUINE))
+        p, digits, permuted = w.params, list(w.digits.digits), list(w.permuted.digits)
+    else:
+        b = draw(st.integers(3, 10))
+        p = Params(draw(st.integers(2, b - 1)), b)
+        digit = st.integers(0, b - 1)
+        digits = draw(st.lists(digit, min_size=1, max_size=8))
+        ell = len(digits)
+        permuted = draw(
+            st.permutations(digits) | st.lists(digit, min_size=ell, max_size=ell)
+        )
+    ell = len(digits)
+    dv, pv = DigitVec(tuple(digits), p.b), DigitVec(tuple(permuted), p.b)
+    if draw(st.booleans()):
+        carries = PermutipleWitness.build(p, dv, pv).carries
+    else:
+        rest = draw(st.lists(st.integers(-p.n, 2 * p.n), min_size=ell, max_size=ell))
+        carries = CarrySeq((0, *rest))
+    index = st.integers(0, ell - 1)
+    # the first position of each digit: a repeat wherever a digit repeats
+    first = tuple(digits.index(q) for q in permuted) if set(permuted) <= set(digits) else None
+    sigma = draw(
+        st.none()
+        | st.just(find_permutation(dv, pv))
+        | st.permutations(range(ell))
+        | st.just(first)
+        | st.lists(index, min_size=ell, max_size=ell)
+    )
+    return PermutipleWitness(p, dv, pv, carries, sigma)
+
+
+@settings(max_examples=400, deadline=None)
+@given(public_witnesses())
+def test_verify_witness_matches_reference(w):
+    assert dataclasses.asdict(verify_witness(w)) == dataclasses.asdict(reference_verify_witness(w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_find_permutation_is_a_witnessing_bijection(data):
+    b = data.draw(st.integers(2, 10))
+    digit = st.integers(0, b - 1)
+    digits = data.draw(st.lists(digit, min_size=1, max_size=10))
+    permuted = data.draw(st.permutations(digits) | st.lists(digit, min_size=1, max_size=10))
+    sigma = find_permutation(DigitVec(tuple(digits), b), DigitVec(tuple(permuted), b))
+    if sorted(digits) != sorted(permuted):
+        assert sigma is None
+    else:
+        assert sorted(sigma) == list(range(len(digits)))
+        assert all(permuted[j] == digits[i] for j, i in enumerate(sigma))

@@ -5,11 +5,13 @@ from permutiples import (
     Cycle,
     CycleMultiset,
     DigitPair,
+    DigitVec,
     HSMultigraph,
     LabeledMultiedge,
     NotAnLWalkError,
     Params,
     PermutipleString,
+    PermutipleWitness,
     RejectedPairError,
     UnknownCycleIndexError,
     build_hs_multigraph,
@@ -18,6 +20,8 @@ from permutiples import (
     cycle_multi_image,
     edge_allowed,
     enumerate_cycles,
+    enumerate_strings,
+    find_permutation,
     group_by_transition,
     multigraph_to_dot,
     string_to_witness,
@@ -332,6 +336,25 @@ def test_string_rejections():
         string_to_witness(PermutipleString((DigitPair(2, 0),)), P24)
     with pytest.raises(ValueError):  # 4 is not a base-4 digit
         string_to_witness(PermutipleString((DigitPair(4, 0),)), P24)
+
+
+def test_string_witnesses_equal_validated_witnesses():
+    # criterion 4's tables: every string of these (2, 4) unions, built once
+    # through the trusted witness and once through the public constructors
+    inv = enumerate_cycles(build_mother_graph(P24))
+    checked = 0
+    for indices in ([2, 3], [3, 3], [0], [3], [4], [5]):
+        g = union_images(CycleMultiset.from_indices(indices), P24, inv)
+        for s in enumerate_strings(g):
+            digits = DigitVec(tuple(pair.d1 for pair in s.pairs), 4)
+            permuted = DigitVec(tuple(pair.d2 for pair in s.pairs), 4)
+            carries = carry_sequence(digits, permuted, P24)
+            sigma = find_permutation(digits, permuted)
+            assert string_to_witness(s, P24) == PermutipleWitness(
+                P24, digits, permuted, carries, sigma
+            )
+            checked += 1
+    assert checked == 3 + 6 + 1 + 2 + 1 + 4
 
 
 # === dot export ===
