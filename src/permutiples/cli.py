@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .digits import DigitVec, Params, PermutipleWitness, value, verify_witness
@@ -38,7 +38,8 @@ from .mothergraph import (
 )
 from .oracle import (
     DEFAULT_MAX_SCAN,
-    brute_force_search,
+    _check_budget,
+    _scan_hits,
     equivalence_check,
     palintiple_count,
 )
@@ -68,8 +69,43 @@ def _exit_code_for(exc: BaseException) -> int:
     return EXIT_USAGE
 
 
+def _encode(obj, indent: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it at nesting `indent`.
+
+    Only the types the subcommands emit are written: dict (str keys),
+    list, str, int, bool and None.  Anything else raises TypeError.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_encode(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join([f"{_quote(k)}: {_encode(v, inner)}" for k, v in obj.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"{type(obj).__name__} is not written as JSON")
+
+
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """payload as json.dumps(payload, indent=2) writes it, plus a newline."""
+    return _encode(payload, "") + "\n"
 
 
 def _yesno(flag: bool) -> str:
@@ -129,10 +165,6 @@ def _witness_payload(w: PermutipleWitness) -> dict:
         "value": value(w.digits),
         "multiplicand": value(w.permuted),
     }
-
-
-def _witness_row(w: PermutipleWitness) -> str:
-    return f"{value(w.digits)} = {w.params.n} * {value(w.permuted)}    {w}"
 
 
 def _inventory(args, p: Params):
@@ -282,18 +314,34 @@ def _handle_verify(args) -> str:
 
 def _handle_search(args) -> str:
     p = _params(args)
-    witnesses = brute_force_search(p, args.length, max_scan=args.max_scan)
+    n, b, length = p.n, p.b, args.length
+    _check_budget(p, length, args.max_scan)
+    # Each hit's digits, most significant first, from one divmod pass; no
+    # witness is built, since search prints neither carries nor sigma.
+    rows = []
+    for m, q in _scan_hits(p, length):
+        product, multiplicand = [0] * length, [0] * length
+        x, y = m, q
+        for j in range(length - 1, -1, -1):
+            x, product[j] = divmod(x, b)
+            y, multiplicand[j] = divmod(y, b)
+        rows.append((m, q, product, multiplicand))
     if args.format == "json":
         return _json(
             {
                 "params": _params_payload(p),
-                "length": args.length,
-                "count": len(witnesses),
-                "witnesses": [_witness_payload(w) for w in witnesses],
+                "length": length,
+                "count": len(rows),
+                "witnesses": [
+                    {"digits": dm, "permuted": dq, "value": m, "multiplicand": q}
+                    for m, q, dm, dq in rows
+                ],
             }
         )
-    lines = [f"{len(witnesses)} permutiples with {args.length} base-{p.b} digits for n={p.n}"]
-    lines += [f"  {_witness_row(w)}" for w in witnesses]
+    lines = [f"{len(rows)} permutiples with {length} base-{b} digits for n={n}"]
+    for m, q, dm, dq in rows:
+        spelled = f"({','.join(map(str, dm))})_{b} = {n}*({','.join(map(str, dq))})_{b}"
+        lines.append(f"  {m} = {n} * {q}    {spelled}")
     return "\n".join(lines) + "\n"
 
 

@@ -168,8 +168,9 @@ class PermutipleWitness:
     """A claimed relation digits = n * permuted together with its carries.
 
     Shape is validated here (matching lengths and bases, one more carry than
-    digits, sigma indices in range when given); whether the claim actually
-    holds is the job of verify_witness, which reports rather than raises.
+    digits, sigma indices integral and in range when given, with integral
+    floats stored as ints); whether the claim actually holds is the job of
+    verify_witness, which reports rather than raises.
     The package's own builders, which assemble the parts together, skip the
     shape check through _trusted.
     """
@@ -193,9 +194,16 @@ class PermutipleWitness:
         if self.sigma is not None:
             if len(self.sigma) != ell:
                 raise ValueError("sigma must assign every digit position")
+            exact = True
             for i in self.sigma:
                 if not 0 <= i < ell:
                     raise ValueError(f"sigma index {i} out of range")
+                if type(i) is not int:
+                    if not _integral(i):
+                        raise ValueError(f"sigma index {i} is not an integer")
+                    exact = False
+            if not exact:
+                object.__setattr__(self, "sigma", tuple(map(int, self.sigma)))
 
     @classmethod
     def _trusted(

@@ -1,11 +1,13 @@
 """Content-addressed lookups and brute-force oracles used across test files."""
 
+import json
 from collections import Counter
 
 from permutiples import (
     DigitPair,
     PermutipleWitness,
     WitnessReport,
+    brute_force_search,
     carry_sequence,
     digits_of,
     find_permutation,
@@ -234,3 +236,32 @@ def reference_witness(p, length, m):
     dm = digits_of(m, p.b, length)
     dq = digits_of(m // p.n, p.b, length)
     return PermutipleWitness(p, dm, dq, carry_sequence(dm, dq, p), find_permutation(dm, dq))
+
+
+def reference_search_output(p, length, fmt):
+    """What `search` prints, rendered from brute_force_search's witnesses.
+
+    The reference the CLI's hit-based search output is checked against:
+    full witnesses, value() of their digit vectors, each witness's own
+    str() in the table, and json.dumps(..., indent=2) for JSON.
+    """
+    witnesses = brute_force_search(p, length)
+    if fmt == "json":
+        payload = {
+            "params": {"n": p.n, "b": p.b},
+            "length": length,
+            "count": len(witnesses),
+            "witnesses": [
+                {
+                    "digits": list(w.digits.msd),
+                    "permuted": list(w.permuted.msd),
+                    "value": value(w.digits),
+                    "multiplicand": value(w.permuted),
+                }
+                for w in witnesses
+            ],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [f"{len(witnesses)} permutiples with {length} base-{p.b} digits for n={p.n}"]
+    lines += [f"  {value(w.digits)} = {p.n} * {value(w.permuted)}    {w}" for w in witnesses]
+    return "\n".join(lines) + "\n"

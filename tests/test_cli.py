@@ -6,10 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from helpers import reference_search_output
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutiples import cli
+from permutiples import Params, cli
 from permutiples.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
@@ -253,6 +254,85 @@ def test_equiv_json(capsys):
     assert payload["match"] is True
     assert payload["pipeline_count"] == payload["brute_count"] == 3
     assert payload["only_pipeline"] == [] and payload["only_brute"] == []
+
+
+# One argv tail per subcommand, valid on every (n, b) below.
+JSON_COMMANDS = {
+    "mother": [],
+    "cycles": [],
+    "multigraph": [],
+    "image": ["--cycle", "2"],
+    "check": ["--cycles", "0,2,2"],
+    "strings": ["--cycles", "0,1,2"],
+    "verify": ["--digits", "1,2,0", "--permuted", "0,2,1"],
+    "search": ["--len", "4"],
+    "palintiples": ["--len", "4"],
+    "equiv": ["--len", "4"],
+}
+
+
+@pytest.mark.parametrize("n, b", [(2, 4), (3, 5), (4, 10)])
+def test_every_json_output_is_the_stdlib_dump(capsys, n, b):
+    for command, tail in JSON_COMMANDS.items():
+        code, out, err = run(capsys, command, "--n", str(n), "--b", str(b), *tail,
+                             "--format", "json")
+        assert (code, err) == (EXIT_OK, ""), command
+        roundtrip(out)
+
+
+# Every (n, b, L) with n < b <= 7 and b**L <= 300 000, plus (4, 10, 6).
+SEARCH_CASES = [
+    (n, b, length)
+    for b in range(3, 8)
+    for n in range(2, b)
+    for length in range(1, 7)
+    if b**length <= 300_000
+] + [(4, 10, 6)]
+
+
+def test_search_matches_the_witness_rendering(capsys):
+    # search prints from the scan's hits; the reference renders full witnesses
+    for n, b, length in SEARCH_CASES:
+        for fmt in ("table", "json"):
+            argv = ("search", "--n", str(n), "--b", str(b), "--len", str(length),
+                    "--format", fmt)
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            assert out == reference_search_output(Params(n, b), length, fmt), argv
+
+
+# Text that needs escaping: quotes, backslashes, control characters and
+# non-ASCII, beyond the BMP and the line separators included.
+CHARS = st.sampled_from(list('"\\\x00\x08\n\r\t\x1f\x7f\u00e9\u2028\U0001f600')) | st.characters()
+TEXT = st.text(alphabet=CHARS, max_size=8)
+# Past the default int-to-str limit of 4 300 digits, either sign.
+HUGE = st.builds(
+    lambda k, sign: sign * (10**k - 1), st.integers(4301, 4400), st.sampled_from([1, -1])
+)
+LEAVES = st.none() | st.booleans() | st.integers() | HUGE | TEXT | st.lists(st.integers())
+PAYLOADS = st.recursive(
+    LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAYLOADS)
+def test_json_writer_matches_stdlib(payload):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # as cli.main does
+    try:
+        assert cli._json(payload) == json.dumps(payload, indent=2) + "\n"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("payload", [1.5, (1, 2), {1: 2}, [set()], {"a": [1, 2.0]}, b"x"])
+def test_json_writer_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._json(payload)
 
 
 # === dot ===

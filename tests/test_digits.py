@@ -59,6 +59,16 @@ def test_integral_floats_are_stored_as_ints():
     assert str(w.digits) == "(1,0,2)_4" and verify_witness(w).is_permutiple
 
 
+def test_integral_float_sigma_is_stored_as_ints():
+    p = Params(2, 4)
+    digits, permuted = DigitVec((1, 0, 2), 4), DigitVec((0, 2, 1), 4)
+    w = PermutipleWitness.build(p, digits, permuted, sigma=(1.0, 2.0, 0.0))
+    assert verify_witness(w).sigma_consistent
+    assert w.sigma == (1, 2, 0) and [type(i) for i in w.sigma] == [int, int, int]
+    with pytest.raises(ValueError, match="not an integer"):
+        PermutipleWitness.build(p, digits, permuted, sigma=(1.5, 2, 0))
+
+
 def test_value_examples():
     assert value(DigitVec.from_msd([8, 7, 9, 1, 2], 10)) == 87912
     assert value(DigitVec.from_msd([1, 0, 2], 4)) == 18
