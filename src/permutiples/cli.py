@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -69,43 +68,60 @@ def _exit_code_for(exc: BaseException) -> int:
     return EXIT_USAGE
 
 
-def _encode(obj, indent: str) -> str:
-    """obj as json.dumps(obj, indent=2) writes it at nesting `indent`.
+class _Verbatim(str):
+    """JSON text that _encode writes unquoted, as it stands."""
+
+
+def _encode(obj, indent: str, out: list[str]) -> None:
+    """Append obj's text, as json.dumps(obj, indent=2) writes it at nesting
+    `indent`, to out in pieces.
 
     Only the types the subcommands emit are written: dict (str keys),
-    list, str, int, bool and None.  Anything else raises TypeError.
+    list, str, int, bool and None.  Anything else raises TypeError.  A
+    _Verbatim string is already JSON text laid out for its place in the
+    tree, and is written as it stands.  Nothing is copied on the way up:
+    the output's one copy is the join in _json.
     """
     if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        if all(type(x) is int for x in obj):
-            body = sep.join(map(int.__repr__, obj))
+        out.append(obj if type(obj) is _Verbatim else _quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif not isinstance(obj, (list, dict)):
+        raise TypeError(f"{type(obj).__name__} is not written as JSON")
+    elif not obj:
+        out.append("[]" if isinstance(obj, list) else "{}")
+    else:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(obj, dict):
+            out.append("{\n" + inner)
+            for k, v in obj.items():
+                out.append(_quote(k) + ": ")
+                _encode(v, inner, out)
+                out.append(sep)
+            out[-1] = f"\n{indent}}}"  # the last separator closes the object
+        elif all(type(x) is int for x in obj):
+            out.append(f"[\n{inner}{sep.join(map(int.__repr__, obj))}\n{indent}]")
         else:
-            body = sep.join([_encode(x, inner) for x in obj])
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = sep.join([f"{_quote(k)}: {_encode(v, inner)}" for k, v in obj.items()])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    raise TypeError(f"{type(obj).__name__} is not written as JSON")
+            out.append("[\n" + inner)
+            for x in obj:
+                _encode(x, inner, out)
+                out.append(sep)
+            out[-1] = f"\n{indent}]"
 
 
 def _json(payload) -> str:
     """payload as json.dumps(payload, indent=2) writes it, plus a newline."""
-    return _encode(payload, "") + "\n"
+    out: list[str] = []
+    _encode(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _yesno(flag: bool) -> str:
@@ -305,43 +321,72 @@ def _handle_verify(args) -> str:
     permuted = DigitVec.from_msd(_parse_int_list(args.permuted, "--permuted"), p.b)
     w = PermutipleWitness.build(p, digits, permuted, find_sigma=True)
     report = verify_witness(w)
-    flags = dataclasses.asdict(report)
-    flags["is_permutiple"] = report.is_permutiple
+    # The report holds only bools: a shallow read of its fields, in field
+    # order, and no deep copy.
+    flags = {**vars(report), "is_permutiple": report.is_permutiple}
     if args.format == "json":
         return _json({"params": _params_payload(p), **_witness_payload(w), **flags})
     return "\n".join([f"claim: {w}", *_flag_rows(flags)]) + "\n"
+
+
+class _DigitText(dict):
+    """Zero-padded digits of width-digit base-b numbers, most significant first.
+
+    Maps x to its digits joined by sep.  Each text is written on the first
+    lookup of its x, so the memo holds only the values looked up.
+    """
+
+    def __init__(self, b: int, width: int, sep: str):
+        super().__init__()
+        self.b, self.width, self.sep = b, width, sep
+
+    def __missing__(self, x: int) -> str:
+        digits = [0] * self.width
+        rest = x
+        for j in range(self.width - 1, -1, -1):
+            rest, digits[j] = divmod(rest, self.b)
+        text = self[x] = self.sep.join(map(str, digits))
+        return text
+
+
+# One search witness as json.dumps(..., indent=2) writes it as an element of
+# the "witnesses" list, handed to _encode as a _Verbatim; its digit texts
+# come joined by _DIGIT_SEP.
+_WITNESS_ROW = (
+    '{\n      "digits": [\n        %s\n      ],\n      "permuted": [\n        %s\n      ],'
+    '\n      "value": %d,\n      "multiplicand": %d\n    }'
+)
+_DIGIT_SEP = ",\n        "
 
 
 def _handle_search(args) -> str:
     p = _params(args)
     n, b, length = p.n, p.b, args.length
     _check_budget(p, length, args.max_scan)
-    # Each hit's digits, most significant first, from one divmod pass; no
-    # witness is built, since search prints neither carries nor sigma.
+    # Each row's digits are the digit texts of m's and q's halves at the
+    # scan's own split, one memo per half width; no witness is built, since
+    # search prints neither carries nor sigma.
+    as_json = args.format == "json"
+    sep = _DIGIT_SEP if as_json else ","
+    low_width = length // 2
+    split = b**low_width
+    low = _DigitText(b, low_width, sep)
+    high = low if length - low_width == low_width else _DigitText(b, length - low_width, sep)
     rows = []
     for m, q in _scan_hits(p, length):
-        product, multiplicand = [0] * length, [0] * length
-        x, y = m, q
-        for j in range(length - 1, -1, -1):
-            x, product[j] = divmod(x, b)
-            y, multiplicand[j] = divmod(y, b)
-        rows.append((m, q, product, multiplicand))
-    if args.format == "json":
+        m_high, m_low = divmod(m, split)
+        q_high, q_low = divmod(q, split)
+        dm = high[m_high] + sep + low[m_low]
+        dq = high[q_high] + sep + low[q_low]
+        if as_json:
+            rows.append(_Verbatim(_WITNESS_ROW % (dm, dq, m, q)))
+        else:
+            rows.append(f"  {m} = {n} * {q}    ({dm})_{b} = {n}*({dq})_{b}")
+    if as_json:
         return _json(
-            {
-                "params": _params_payload(p),
-                "length": length,
-                "count": len(rows),
-                "witnesses": [
-                    {"digits": dm, "permuted": dq, "value": m, "multiplicand": q}
-                    for m, q, dm, dq in rows
-                ],
-            }
+            {"params": _params_payload(p), "length": length, "count": len(rows), "witnesses": rows}
         )
-    lines = [f"{len(rows)} permutiples with {length} base-{b} digits for n={n}"]
-    for m, q, dm, dq in rows:
-        spelled = f"({','.join(map(str, dm))})_{b} = {n}*({','.join(map(str, dq))})_{b}"
-        lines.append(f"  {m} = {n} * {q}    {spelled}")
+    lines = [f"{len(rows)} permutiples with {length} base-{b} digits for n={n}", *rows]
     return "\n".join(lines) + "\n"
 
 

@@ -55,11 +55,17 @@ def _check_budget(p: Params, length: int, max_scan: int) -> None:
         raise ValueError(f"length must be positive, got {length}")
     if max_scan < 1:
         raise ValueError(f"max_scan must be positive, got {max_scan}")
-    if p.b**length > max_scan:
-        raise BudgetExceededError(
-            f"scanning {length} base-{p.b} digits needs {p.b ** length} candidates, "
-            f"budget is {max_scan}"
-        )
+    if length > max_scan.bit_length():
+        # b**length >= 2**length > max_scan for every b >= 2; the power is
+        # neither computed nor spelled out, whatever its size.
+        count = f"{p.b}**{length}"
+    elif p.b**length > max_scan:
+        count = str(p.b**length)
+    else:
+        return
+    raise BudgetExceededError(
+        f"scanning {length} base-{p.b} digits needs {count} candidates, budget is {max_scan}"
+    )
 
 
 def _scan_range(p: Params, length: int) -> tuple[int, int, int]:

@@ -10,7 +10,7 @@ from helpers import reference_search_output
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutiples import Params, cli
+from permutiples import Params, brute_force_search, cli, value
 from permutiples.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
@@ -280,14 +280,16 @@ def test_every_json_output_is_the_stdlib_dump(capsys, n, b):
         roundtrip(out)
 
 
-# Every (n, b, L) with n < b <= 7 and b**L <= 300 000, plus (4, 10, 6).
+# Every (n, b, L) with n < b <= 7 and b**L <= 300 000, plus (4, 10, 6) and
+# two with digits of two characters: (2, 16, 4), 5 of its 9 hits with a
+# digit >= 10, and (2, 11, 5), 16 of 46, at an odd length.
 SEARCH_CASES = [
     (n, b, length)
     for b in range(3, 8)
     for n in range(2, b)
     for length in range(1, 7)
     if b**length <= 300_000
-] + [(4, 10, 6)]
+] + [(4, 10, 6), (2, 16, 4), (2, 11, 5)]
 
 
 def test_search_matches_the_witness_rendering(capsys):
@@ -299,6 +301,62 @@ def test_search_matches_the_witness_rendering(capsys):
             code, out, err = run(capsys, *argv)
             assert (code, err) == (EXIT_OK, ""), argv
             assert out == reference_search_output(Params(n, b), length, fmt), argv
+
+
+@st.composite
+def small_searches(draw):
+    """(n, b, L) with b**L <= 50 000."""
+    b = draw(st.integers(3, 40))
+    length = draw(st.integers(1, max(k for k in range(1, 11) if b**k <= 50_000)))
+    return draw(st.integers(2, b - 1)), b, length
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_searches())
+def test_search_json_is_the_dump_of_the_witnesses(case):
+    n, b, length = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["search", "--n", str(n), "--b", str(b), "--len", str(length),
+                     "--format", "json"])
+    assert code == EXIT_OK
+    assert out.getvalue() == reference_search_output(Params(n, b), length, "json")
+
+
+def test_search_memo_holds_only_the_halves_of_its_hits(capsys, monkeypatch):
+    memos = []
+
+    class Recorded(cli._DigitText):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(cli, "_DigitText", Recorded)
+    for n, b, length in [(2, 4, 8), (4, 10, 6), (2, 11, 5)]:
+        memos.clear()
+        code, out, _ = run(capsys, "search", "--n", str(n), "--b", str(b), "--len", str(length))
+        assert code == EXIT_OK
+        split = b ** (length // 2)
+        halves = {
+            (width, x)
+            for w in brute_force_search(Params(n, b), length)
+            for y in (value(w.digits), value(w.permuted))
+            for width, x in zip((length - length // 2, length // 2), divmod(y, split))
+        }
+        held = {(memo.width, x) for memo in memos for x in memo}
+        # one memo per half width, holding each distinct half value of the
+        # hits once: 254, 275 and 88 entries, where the scan's tables hold
+        # b**ceil(L/2) (and b**floor(L/2) at odd L): 256, 1 000 and 1 452
+        widths = {length - length // 2, length // 2}
+        assert len(memos) == len(widths)
+        assert held == halves
+        assert sum(map(len, memos)) == len(halves) < sum(b**width for width in widths)
+
+
+def test_verbatim_json_is_written_unquoted():
+    text = cli._Verbatim('[\n    "a"\n  ]')
+    assert cli._json({"k": text}) == json.dumps({"k": ["a"]}, indent=2) + "\n"
+    assert cli._json(["[]"]) == json.dumps(["[]"], indent=2) + "\n"
 
 
 # Text that needs escaping: quotes, backslashes, control characters and
@@ -385,6 +443,15 @@ def test_budget_exit_code(capsys):
     assert code == EXIT_OK
     assert out == "21 palintiples with 19 base-10 digits for n=4\n"
     assert err == ""
+
+
+def test_budget_past_its_bit_length_fails_at_once(capsys):
+    # 10**100000 is neither computed nor printed
+    code, out, err = run(capsys, "search", "--n", "2", "--b", "10", "--len", "100000")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == "error: scanning 100000 base-10 digits needs 10**100000 candidates, " \
+                  "budget is 10000000\n"
+    assert len(err) < 200
 
 
 def test_equiv_checks_the_scan_budget_first(capsys, monkeypatch):

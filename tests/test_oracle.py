@@ -128,6 +128,22 @@ def test_scan_budget_must_be_positive():
     assert brute_force_search(P24, 3, max_scan=64) == brute_force_search(P24, 3)
 
 
+def test_scan_budget_past_its_bit_length_names_a_power():
+    # b**length > max_scan whenever length > max_scan.bit_length(): such a run
+    # fails at once, and the count is named as a power, not spelled out
+    for run in (brute_force_search, palintiple_count, equivalence_check):
+        with pytest.raises(BudgetExceededError) as exc:
+            run(Params(2, 10), 5000)
+        assert str(exc.value) == (
+            "scanning 5000 base-10 digits needs 10**5000 candidates, budget is 10000000"
+        )
+    # up to the bit length the count is spelled out as before (64: 7 bits)
+    with pytest.raises(BudgetExceededError, match="needs 16384 candidates, budget is 64$"):
+        brute_force_search(P24, 7, max_scan=64)
+    with pytest.raises(BudgetExceededError, match=r"needs 4\*\*8 candidates, budget is 64$"):
+        brute_force_search(P24, 8, max_scan=64)
+
+
 @pytest.mark.parametrize(
     "n,b,length",
     [(2, 4, length) for length in range(1, 7)]
