@@ -22,8 +22,6 @@ from .euler import (
     DEFAULT_MAX_STRINGS,
     ALLOW_LEADING_ZERO,
     FORBID_LEADING_ZERO,
-    LABEL_DISTINCT,
-    NUMERICALLY_DISTINCT,
     EnumerationOptions,
     condition_report,
     count_circuits,
@@ -286,9 +284,8 @@ def _handle_check(args) -> str:
 
 
 def _enum_options(args) -> EnumerationOptions:
-    dedup = NUMERICALLY_DISTINCT if args.dedup == "numeric" else LABEL_DISTINCT
     leading = FORBID_LEADING_ZERO if args.forbid_leading_zero else ALLOW_LEADING_ZERO
-    return EnumerationOptions(dedup=dedup, leading_zero=leading, cap=args.max_strings)
+    return EnumerationOptions(leading_zero=leading, cap=args.max_strings)
 
 
 def _handle_strings(args) -> str:
@@ -452,7 +449,6 @@ _OPTIONS = {
     "--max-cycles": {"type": _count, "default": DEFAULT_MAX_CYCLES},
     "--max-strings": {"type": _count, "default": DEFAULT_MAX_STRINGS},
     "--forbid-leading-zero": {"action": "store_true"},
-    "--dedup": {"choices": ["label", "numeric"], "default": "label"},
     "--digits": {"required": True, "help": "product digits, most significant first"},
     "--permuted": {"required": True, "help": "multiplicand digits, most significant first"},
     "--len": {"dest": "length", "type": int, "required": True},
@@ -469,7 +465,7 @@ _COMMANDS = {
     "check": ("acceptance conditions for a cycle multiset", ("--cycles", "--max-cycles")),
     "strings": (
         "enumerate strings of a cycle multiset",
-        ("--cycles", "--max-cycles", "--max-strings", "--forbid-leading-zero", "--dedup"),
+        ("--cycles", "--max-cycles", "--max-strings", "--forbid-leading-zero"),
     ),
     "verify": ("check one claimed digits = n * permuted relation", ("--digits", "--permuted")),
     "search": ("brute-force scan for permutiples of one length", ("--len", "--max-scan")),

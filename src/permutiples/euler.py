@@ -31,15 +31,11 @@ __all__ = [
     "count_circuits",
     "find_eulerian_circuit",
     "count_sequences_by_arborescences",
-    "LABEL_DISTINCT",
-    "NUMERICALLY_DISTINCT",
     "ALLOW_LEADING_ZERO",
     "FORBID_LEADING_ZERO",
     "DEFAULT_MAX_STRINGS",
 ]
 
-LABEL_DISTINCT = "label-distinct"
-NUMERICALLY_DISTINCT = "numerically-distinct"
 ALLOW_LEADING_ZERO = "allow"
 FORBID_LEADING_ZERO = "forbid"
 DEFAULT_MAX_STRINGS = 100_000
@@ -69,21 +65,15 @@ class ConditionReport:
 class EnumerationOptions:
     """Knobs for circuit enumeration.
 
-    dedup picks what counts as the same string: label-distinct treats
-    circuits that only swap identical-label copies as one; numerically
-    distinct additionally folds strings that spell the same product value.
     leading_zero decides whether strings whose most significant product
     digit is 0 are kept.  cap bounds the number of results; crossing it
     raises instead of truncating.
     """
 
-    dedup: str = LABEL_DISTINCT
     leading_zero: str = ALLOW_LEADING_ZERO
     cap: int = DEFAULT_MAX_STRINGS
 
     def __post_init__(self) -> None:
-        if self.dedup not in (LABEL_DISTINCT, NUMERICALLY_DISTINCT):
-            raise ValueError(f"unknown dedup mode {self.dedup!r}")
         if self.leading_zero not in (ALLOW_LEADING_ZERO, FORBID_LEADING_ZERO):
             raise ValueError(f"unknown leading-zero mode {self.leading_zero!r}")
         if self.cap < 1:
@@ -182,39 +172,39 @@ def enumerate_strings(
     Returns () whenever the BEST count of count_circuits is 0.  The walk is
     depth-first over out-edges ordered by (to-state, label), taking one copy
     of a label at a time, so the output order is deterministic and circuits
-    differing only in which identical copy they used appear once.  It keeps
-    its own stack, so long multigraphs never reach the recursion limit.
-    Raises CapExceededError rather than silently truncating; with
-    label-distinct dedup and leading zeros allowed the result count is that
-    same count, so an oversized run raises before walking at all.
+    differing only in which identical copy they used appear once.  Those
+    strings are also numerically distinct: the product digits fix m, m = n*q
+    fixes q's padded digits, and so the value fixes the whole string.  The
+    walk keeps its own stack, so long multigraphs never reach the recursion
+    limit.  Raises CapExceededError rather than silently truncating; the
+    result count is known exactly from the BEST count in both leading-zero
+    modes, so an oversized run raises before walking at all.
     """
     if opts is None:
         opts = EnumerationOptions()
     distinct = count_sequences_by_arborescences(g) // _copy_orders(g)
     if not distinct:
         return ()
-    if opts.dedup == LABEL_DISTINCT and opts.leading_zero == ALLOW_LEADING_ZERO:
-        if distinct > opts.cap:
-            raise CapExceededError(f"more than {opts.cap} strings")
     forbid_zero = opts.leading_zero == FORBID_LEADING_ZERO
-    numeric = opts.dedup == NUMERICALLY_DISTINCT
-    b = g.params.b
-    results: list[PermutipleString] = []
-    seen_values: set[int] = set()
-    for labels in _circuits(g):
-        if forbid_zero and labels[-1].d1 == 0:
-            continue
-        if numeric:
-            val = 0
-            for lab in reversed(labels):
-                val = val * b + lab.d1
-            if val in seen_values:
-                continue
-            seen_values.add(val)
-        if len(results) >= opts.cap:
-            raise CapExceededError(f"more than {opts.cap} strings")
-        results.append(PermutipleString._trusted(labels))
-    return tuple(results)
+    # _nonzero_led never exceeds distinct, so runs under the cap skip it.
+    if distinct > opts.cap and (not forbid_zero or _nonzero_led(g, distinct) > opts.cap):
+        raise CapExceededError(f"more than {opts.cap} strings")
+    return tuple(
+        PermutipleString._trusted(labels)
+        for labels in _circuits(g)
+        if not (forbid_zero and labels[-1].d1 == 0)
+    )
+
+
+def _nonzero_led(g: HSMultigraph, distinct: int) -> int:
+    """How many of g's distinct strings have a nonzero leading product digit.
+
+    A circuit's last edge enters state 0 and writes the most significant
+    digit, and each in-edge of 0 ends the same share of the BEST edge
+    sequences, so the count is exact.
+    """
+    into_zero = [e.label.d1 for e in g.multiedges if e.c2 == 0]
+    return distinct * sum(1 for d1 in into_zero if d1) // len(into_zero)
 
 
 def _copy_orders(g: HSMultigraph) -> int:

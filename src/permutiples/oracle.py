@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Sequence
 
-from .digits import CarrySeq, DigitVec, Params, PermutipleWitness, find_permutation, value
+from .digits import DigitVec, Params, PermutipleWitness, digits_of, value
 from .errors import BudgetExceededError
 from .euler import (
     DEFAULT_MAX_STRINGS,
@@ -50,6 +50,24 @@ __all__ = [
 DEFAULT_MAX_SCAN = 10**7
 
 
+# Python prints any int below 10**640 whatever its int-to-str limit, since
+# no limit may be set lower; budget messages name a longer base or count by
+# its digit count, so a huge base still fails with BudgetExceededError.
+_SPELLED = 10**640
+
+
+def _decimal(x: int) -> str:
+    if x < _SPELLED:
+        return str(x)
+    # (bits - 1) * log10(2), rounded down, is at most floor(log10(x))
+    k = (x.bit_length() - 1) * 301029995 // 10**9
+    power = 10**k
+    while power * 10 <= x:
+        power *= 10
+        k += 1
+    return f"<{k + 1} digits>"
+
+
 def _check_budget(p: Params, length: int, max_scan: int) -> None:
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
@@ -58,13 +76,14 @@ def _check_budget(p: Params, length: int, max_scan: int) -> None:
     if length > max_scan.bit_length():
         # b**length >= 2**length > max_scan for every b >= 2; the power is
         # neither computed nor spelled out, whatever its size.
-        count = f"{p.b}**{length}"
+        count = f"{_decimal(p.b)}**{length}"
     elif p.b**length > max_scan:
-        count = str(p.b**length)
+        count = _decimal(p.b**length)
     else:
         return
     raise BudgetExceededError(
-        f"scanning {length} base-{p.b} digits needs {count} candidates, budget is {max_scan}"
+        f"scanning {length} base-{_decimal(p.b)} digits needs {count} candidates, "
+        f"budget is {max_scan}"
     )
 
 
@@ -135,32 +154,18 @@ def brute_force_search(
     the only ones whose digit sum can match their product's.  It splits
     m and q at b**(length//2) and compares their digit multisets as sums
     of two precomputed histogram signatures, one per half.  Each hit becomes
-    a witness in one pass over q's digits, which writes m's digits and the
-    carries as it multiplies by n; digit vectors, carries and permutations
-    are built for hits only.  The budget check still counts all b**length
-    candidates.
+    a witness through the public constructors: digits_of pads m and q to
+    `length` digits, and PermutipleWitness.build derives the carries and the
+    permutation and checks the shape.  The budget check still counts all
+    b**length candidates.
     """
     _check_budget(p, length, max_scan)
-    n, b = p.n, p.b
-    results = []
-    for _, q in _scan_hits(p, length):
-        # m = n*q has exactly `length` digits, so every carry is an exact
-        # step in 0..n-1 and the last one is 0.
-        carry, product, multiplicand, carries = 0, [], [], [0]
-        for _ in range(length):
-            q, d2 = divmod(q, b)
-            carry, d1 = divmod(n * d2 + carry, b)
-            product.append(d1)
-            multiplicand.append(d2)
-            carries.append(carry)
-        dm = DigitVec._trusted(tuple(product), b)
-        dq = DigitVec._trusted(tuple(multiplicand), b)
-        results.append(
-            PermutipleWitness._trusted(
-                p, dm, dq, CarrySeq._trusted(tuple(carries)), find_permutation(dm, dq)
-            )
+    return tuple(
+        PermutipleWitness.build(
+            p, digits_of(m, p.b, length), digits_of(q, p.b, length), find_sigma=True
         )
-    return tuple(results)
+        for m, q in _scan_hits(p, length)
+    )
 
 
 def palintiple_count(p: Params, length: int, max_scan: int = DEFAULT_MAX_SCAN) -> int:

@@ -120,34 +120,36 @@ def reference_carry_step(d1, d2, p):
     return steps[0] if allowed else None
 
 
-def backtracking_label_distinct(g):
+def backtracking_label_distinct(g, forbid_zero=False):
     """Label-distinct Eulerian circuits of g from state 0, by exhaustive walk.
 
     The reference count_circuits is checked against: it walks every circuit,
     taking one copy of a label at a time, instead of dividing the BEST
-    determinant.  Returns 0 for the empty multigraph.  Exponential, fine for
-    the small unions the tests draw.
+    determinant.  With forbid_zero it counts only circuits whose last label,
+    the one writing the leading product digit, has d1 != 0.  Returns 0 for
+    the empty multigraph.  Exponential, fine for the small unions the tests
+    draw.
     """
     from collections import Counter
 
     rows = {}
-    for (c1, c2, _), mult in sorted(Counter(g.multiedges).items()):
-        rows.setdefault(c1, []).append([c2, mult])
+    for (c1, c2, label), mult in sorted(Counter(g.multiedges).items()):
+        rows.setdefault(c1, []).append([c2, mult, label.d1])
     total = len(g.multiedges)
 
-    def walk(state, used):
+    def walk(state, used, last_d1):
         if used == total:
-            return 1 if state == 0 else 0
+            return 1 if state == 0 and (last_d1 or not forbid_zero) else 0
         found = 0
         for row in rows.get(state, ()):
             if row[1] == 0:
                 continue
             row[1] -= 1
-            found += walk(row[0], used + 1)
+            found += walk(row[0], used + 1, row[2])
             row[1] += 1
         return found
 
-    return walk(0, 0) if total else 0
+    return walk(0, 0, None) if total else 0
 
 
 def naive_permutiples(p, length):
@@ -228,8 +230,8 @@ def reference_verify_witness(w):
 def reference_witness(p, length, m):
     """The witness of the length-digit hit m = n*q through the validating route.
 
-    The reference brute_force_search's one-pass witness builder is checked
-    against: digits_of for both numbers, carry_sequence for the carries
+    The reference brute_force_search's witnesses are checked against:
+    digits_of for both numbers, carry_sequence for the carries
     (which raises on any step that is not exact), find_permutation, and the
     public PermutipleWitness constructor.
     """

@@ -225,10 +225,17 @@ def test_strings_flags(capsys):
     assert json.loads(out)["count"] == 0
     code, out, _ = run(
         capsys,
-        "strings", "--n", "2", "--b", "4", "--cycles", "3,3",
-        "--dedup", "numeric", "--format", "json",
+        "strings", "--n", "2", "--b", "4", "--cycles", "3,3", "--format", "json",
     )
     assert json.loads(out)["count"] == 6
+
+
+def test_dedup_is_not_an_option(capsys):
+    # label-distinct strings already spell distinct values; no flag selects it
+    code, out, err = run(capsys, "strings", "--n", "2", "--b", "4", "--cycles", "3,3",
+                         "--dedup", "numeric")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --dedup numeric" in err
 
 
 def test_search_json(capsys):
@@ -729,7 +736,6 @@ OPTIONS = {
         "--max-cycles": LIMIT,
         "--max-strings": LIMIT,
         "--forbid-leading-zero": st.none(),
-        "--dedup": st.sampled_from(["label", "numeric"]),
     },
     "verify": {"--digits": DIGITS, "--permuted": DIGITS},
     "search": {"--len": LENGTH, "--max-scan": LIMIT},

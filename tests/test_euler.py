@@ -24,12 +24,7 @@ from permutiples import (
     verify_witness,
 )
 from permutiples import euler
-from permutiples.euler import (
-    ALLOW_LEADING_ZERO,
-    FORBID_LEADING_ZERO,
-    LABEL_DISTINCT,
-    NUMERICALLY_DISTINCT,
-)
+from permutiples.euler import ALLOW_LEADING_ZERO, FORBID_LEADING_ZERO
 
 P24 = Params(2, 4)
 P410 = Params(4, 10)
@@ -199,11 +194,11 @@ def test_leading_zero_filter():
 
 
 def test_numeric_dedup_matches_label_dedup_per_multigraph():
+    # label-distinct strings spell distinct values, so folding them by value
+    # would drop nothing
     for indices in [(I_TWO, I_THREE_A), (I_THREE_A, I_THREE_A), (I_FOUR,), (I_LOOP0, I_THREE_A)]:
         g = union24(*indices)
         by_label = enumerate_strings(g)
-        by_value = enumerate_strings(g, EnumerationOptions(dedup=NUMERICALLY_DISTINCT))
-        assert by_label == by_value
         values = [value(string_to_witness(s, P24).digits) for s in by_label]
         assert len(set(values)) == len(values)
 
@@ -224,11 +219,16 @@ def test_label_distinct_cap_is_checked_before_walking(monkeypatch):
     monkeypatch.setattr(euler, "_circuits", no_walk)
     with pytest.raises(CapExceededError):
         enumerate_strings(g, EnumerationOptions(cap=5))
+    # with leading zeros forbidden too: 4 of the 6 strings of {0, 3} remain
+    g = union24(I_LOOP0, I_THREE_A)
+    with pytest.raises(CapExceededError):
+        enumerate_strings(g, EnumerationOptions(leading_zero=FORBID_LEADING_ZERO, cap=3))
+    monkeypatch.undo()
+    strict = enumerate_strings(g, EnumerationOptions(leading_zero=FORBID_LEADING_ZERO, cap=4))
+    assert len(strict) == 4
 
 
 def test_enumeration_options_validation():
-    with pytest.raises(ValueError):
-        EnumerationOptions(dedup="whatever")
     with pytest.raises(ValueError):
         EnumerationOptions(leading_zero="maybe")
     with pytest.raises(ValueError):
@@ -299,10 +299,9 @@ def test_count_alone_decides_acceptance(monkeypatch):
             ALLOW_LEADING_ZERO: strings,
             FORBID_LEADING_ZERO: {t for t in strings if not t.endswith(zero_led)},
         }
-        for dedup in (LABEL_DISTINCT, NUMERICALLY_DISTINCT):
-            for leading, expected in by_mode.items():
-                got = enumerate_strings(g, EnumerationOptions(dedup=dedup, leading_zero=leading))
-                assert {str(s) for s in got} == expected and len(got) == len(expected)
+        for leading, expected in by_mode.items():
+            got = enumerate_strings(g, EnumerationOptions(leading_zero=leading))
+            assert {str(s) for s in got} == expected and len(got) == len(expected)
     with pytest.raises(CapExceededError):
         enumerate_strings(union24(I_THREE_A, I_THREE_A), EnumerationOptions(cap=5))
     rep = equivalence_check(P24, 6)

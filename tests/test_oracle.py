@@ -144,6 +144,29 @@ def test_scan_budget_past_its_bit_length_names_a_power():
         brute_force_search(P24, 8, max_scan=64)
 
 
+def test_scan_budget_on_a_base_too_long_to_print():
+    # a 5001-digit base is past the interpreter's int-to-str limit; the
+    # message names it, and the count, by digit count
+    huge = Params(2, 10**5000)
+    for run, length, count in (
+        (brute_force_search, 1, "<5001 digits>"),
+        (palintiple_count, 2, "<10001 digits>"),
+        (equivalence_check, 1, "<5001 digits>"),
+        (brute_force_search, 30, "<5001 digits>**30"),
+    ):
+        with pytest.raises(BudgetExceededError) as exc:
+            run(huge, length)
+        assert str(exc.value) == (
+            f"scanning {length} base-<5001 digits> digits needs {count} candidates, "
+            "budget is 10000000"
+        )
+    # every base of up to 640 digits prints under any limit and is spelled out
+    with pytest.raises(BudgetExceededError, match=f" base-{10**639} digits "):
+        brute_force_search(Params(2, 10**639), 1)
+    with pytest.raises(BudgetExceededError, match=" base-<641 digits> digits "):
+        brute_force_search(Params(2, 10**640), 1)
+
+
 @pytest.mark.parametrize(
     "n,b,length",
     [(2, 4, length) for length in range(1, 7)]
@@ -153,8 +176,8 @@ def test_scan_budget_past_its_bit_length_names_a_power():
     + [(2, 4, 8)],
 )
 def test_scan_witnesses_equal_validated_route(n, b, length):
-    # criterion 7's cases and (2, 4, 8): the one-pass trusted witnesses
-    # against digits_of -> carry_sequence -> find_permutation -> constructor
+    # criterion 7's cases and (2, 4, 8): the scan's witnesses against
+    # digits_of -> carry_sequence -> find_permutation -> constructor
     p = Params(n, b)
     expected = tuple(reference_witness(p, length, m) for m in naive_permutiples(p, length))
     assert brute_force_search(p, length, max_scan=b**length) == expected

@@ -16,11 +16,13 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import backtracking_label_distinct, cycle_index, reference_verify_witness
 from permutiples import (
+    CapExceededError,
     CarrySeq,
     CycleMultiset,
     DigitVec,
@@ -43,7 +45,8 @@ from permutiples import (
     value,
     verify_witness,
 )
-from permutiples.euler import NUMERICALLY_DISTINCT
+from permutiples import euler
+from permutiples.euler import FORBID_LEADING_ZERO
 from permutiples.oracle import _cycle_multisets
 
 SMALL = [
@@ -188,14 +191,24 @@ def test_enumerated_strings_all_verify(data):
     assert len(set(values)) == len(values)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_dedup_modes_coincide_within_one_union(data):
+def test_forbid_mode_count_matches_backtracking(data):
+    # enumerate_strings checks its cap against this count before walking, so
+    # it must be exact: a cap one below it raises, a cap at it does not
     p, inv, idx = draw_multiset(data)
     g = union_images(CycleMultiset.from_indices(idx), p, inv)
-    assert enumerate_strings(g) == enumerate_strings(
-        g, EnumerationOptions(dedup=NUMERICALLY_DISTINCT)
-    )
+    expected = backtracking_label_distinct(g, forbid_zero=True)
+    distinct = count_circuits(g).label_distinct
+    if distinct:
+        assert euler._nonzero_led(g, distinct) == expected
+    forbid = EnumerationOptions(leading_zero=FORBID_LEADING_ZERO, cap=max(expected, 1))
+    strings = enumerate_strings(g, forbid)
+    assert len(strings) == expected
+    assert all(s.pairs[-1].d1 for s in strings)
+    if expected > 1:
+        with pytest.raises(CapExceededError):
+            enumerate_strings(g, dataclasses.replace(forbid, cap=expected - 1))
 
 
 def product_multisets(lengths, total):
