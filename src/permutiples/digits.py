@@ -11,7 +11,7 @@ notation.  Everything is plain Python integers, never floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DigitAlignmentError
 
@@ -35,6 +35,24 @@ def _integral(x) -> bool:
     return x % 1 == 0
 
 
+# Python prints any int below 10**640 whatever its int-to-str limit, since
+# no limit may be set lower; messages name a longer int by its digit count,
+# so a huge base still fails with the error meant for it.
+_SPELLED = 10**640
+
+
+def _decimal(x: int, show=str) -> str:
+    if x < _SPELLED:
+        return show(x)
+    # (bits - 1) * log10(2), rounded down, is at most floor(log10(x))
+    k = (x.bit_length() - 1) * 301029995 // 10**9
+    power = 10**k
+    while power * 10 <= x:
+        power *= 10
+        k += 1
+    return f"<{k + 1} digits>"
+
+
 @dataclass(frozen=True)
 class Params:
     """A multiplier/base pair (n, b) with 1 < n < b."""
@@ -50,8 +68,12 @@ class Params:
                 f"multiplier must satisfy 1 < n < b, got n={self.n}, b={self.b}"
             )
 
+    # An int of more than 640 digits is named by its digit count (_decimal).
+    def __repr__(self) -> str:
+        return f"Params(n={_decimal(self.n, repr)}, b={_decimal(self.b, repr)})"
+
     def __str__(self) -> str:
-        return f"(n={self.n}, b={self.b})"
+        return f"(n={_decimal(self.n)}, b={_decimal(self.b)})"
 
 
 @dataclass(frozen=True)
@@ -258,9 +280,14 @@ def value(v: DigitVec) -> int:
     >>> value(DigitVec.from_msd([8, 7, 9, 1, 2], 10))
     87912
     """
+    return _from_msd(reversed(v.digits), v.base)
+
+
+def _from_msd(digits: Iterable[int], base: int) -> int:
+    # Horner's rule over digits given most significant first.
     total = 0
-    for d in reversed(v.digits):
-        total = total * v.base + d
+    for d in digits:
+        total = total * base + d
     return total
 
 

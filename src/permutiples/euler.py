@@ -12,7 +12,6 @@ condition_report states the conditions one by one to explain a verdict.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, NamedTuple, Optional
@@ -85,12 +84,13 @@ class CircuitCounts(NamedTuple):
     label_distinct: int
 
 
-def _degrees(g: HSMultigraph) -> tuple[Counter, Counter]:
-    indeg: Counter = Counter()
-    outdeg: Counter = Counter()
+def _degrees(g: HSMultigraph) -> tuple[dict[int, int], dict[int, int]]:
+    # Only states with a positive degree get a key.
+    indeg: dict[int, int] = {}
+    outdeg: dict[int, int] = {}
     for e in g.multiedges:
-        outdeg[e.c1] += 1
-        indeg[e.c2] += 1
+        outdeg[e.c1] = outdeg.get(e.c1, 0) + 1
+        indeg[e.c2] = indeg.get(e.c2, 0) + 1
     return indeg, outdeg
 
 
@@ -105,7 +105,7 @@ def condition_report(g: HSMultigraph) -> ConditionReport:
         strongly_connected = len(strongly_connected_components(active, adj)) == 1
     else:
         strongly_connected = True
-    deltas = tuple((v, indeg[v] - outdeg[v]) for v in active)
+    deltas = tuple((v, indeg.get(v, 0) - outdeg.get(v, 0)) for v in active)
     return ConditionReport(
         contains_zero=0 in set(active),
         strongly_connected=strongly_connected,
@@ -127,41 +127,44 @@ def _circuits(g: HSMultigraph) -> Iterator[tuple[DigitPair, ...]]:
     """Label sequences of the Eulerian circuits of g from state 0.
 
     Depth-first over out-edges ordered by (to-state, label), one copy of a
-    label at a time, on an explicit stack: depth d holds the carry state
-    reached after d steps, the next row to try there, and the row taken.
-    Only for multigraphs with a positive BEST count.
+    label at a time, on an explicit stack: depth d holds the out-rows of the
+    carry state reached after d steps and the index of the row taken there,
+    and i is the next row to try at the current depth.  Only for multigraphs
+    with a positive BEST count: every state reached has out-rows, and a
+    trail from 0 that uses every edge of a balanced multigraph ends at 0.
     """
     groups = _grouped_out_edges(g)
     total = len(g.multiedges)
     labels: list = [None] * total
-    taken: list = [None] * total
-    cursor = [0] * (total + 1)
-    states = [0] * (total + 1)
-    depth = 0
-    while depth >= 0:
-        if depth == total:
-            if states[depth] == 0:
-                yield tuple(labels)
-            depth -= 1
-            taken[depth][2] += 1
-            continue
-        rows = groups.get(states[depth], ())
-        i = cursor[depth]
-        while i < len(rows) and rows[i][2] == 0:
+    taken = [0] * total
+    rows_at: list = [None] * total
+    rows = groups[0]
+    depth = i = 0
+    while True:
+        end = len(rows)
+        while i < end and rows[i][2] == 0:
             i += 1
-        if i == len(rows):
-            depth -= 1
-            if depth >= 0:
-                taken[depth][2] += 1
+        if i < end:
+            row = rows[i]
+            labels[depth] = row[1]
+            if depth + 1 == total:  # the one edge left closes the circuit
+                yield tuple(labels)
+                i = end
+                continue
+            row[2] -= 1
+            rows_at[depth] = rows
+            taken[depth] = i
+            depth += 1
+            rows = groups[row[0]]
+            i = 0
             continue
-        cursor[depth] = i + 1
-        row = rows[i]
-        row[2] -= 1
-        taken[depth] = row
-        labels[depth] = row[1]
-        depth += 1
-        states[depth] = row[0]
-        cursor[depth] = 0
+        if depth == 0:
+            return
+        depth -= 1
+        rows = rows_at[depth]
+        i = taken[depth]
+        rows[i][2] += 1
+        i += 1
 
 
 def enumerate_strings(
@@ -244,7 +247,7 @@ def count_sequences_by_arborescences(g: HSMultigraph) -> int:
     then nonzero exactly when the active states are strongly connected.
     """
     indeg, outdeg = _degrees(g)
-    if not outdeg[0] or indeg != outdeg:
+    if 0 not in outdeg or indeg != outdeg:
         return 0
     active = sorted(outdeg)
     pos = {v: i for i, v in enumerate(active)}

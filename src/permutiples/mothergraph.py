@@ -227,10 +227,12 @@ def enumerate_cycles(
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be positive, got {max_cycles}")
     raw = elementary_cycles(g.vertices, g.successors(), limit=max_cycles)
-    # Each vertex list is elementary and starts at its smallest vertex.
-    cycles = [Cycle._trusted(tuple(map(DigitPair, vs, vs[1:] + vs[:1]))) for vs in raw]
-    cycles.sort(key=lambda c: (len(c.edges), c.edges))
-    return tuple(cycles)
+    # Each vertex list is elementary and starts at its smallest vertex; a plain
+    # (d1, d2) tuple hashes and compares equal to the graph's own DigitPair.
+    edge = {e: e for e in g.edges}
+    cycles = [tuple(map(edge.__getitem__, zip(vs, vs[1:] + vs[:1]))) for vs in raw]
+    cycles.sort(key=lambda edges: (len(edges), edges))
+    return tuple(map(Cycle._trusted, cycles))
 
 
 def graph_to_dot(

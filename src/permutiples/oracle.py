@@ -23,11 +23,13 @@ Both routes keep the plain per-candidate loop in the tests as reference.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .digits import DigitVec, Params, PermutipleWitness, digits_of, value
+from .digits import Params, PermutipleWitness, _decimal, _from_msd, digits_of
 from .errors import BudgetExceededError
 from .euler import (
     DEFAULT_MAX_STRINGS,
@@ -48,24 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_SCAN = 10**7
-
-
-# Python prints any int below 10**640 whatever its int-to-str limit, since
-# no limit may be set lower; budget messages name a longer base or count by
-# its digit count, so a huge base still fails with BudgetExceededError.
-_SPELLED = 10**640
-
-
-def _decimal(x: int) -> str:
-    if x < _SPELLED:
-        return str(x)
-    # (bits - 1) * log10(2), rounded down, is at most floor(log10(x))
-    k = (x.bit_length() - 1) * 301029995 // 10**9
-    power = 10**k
-    while power * 10 <= x:
-        power *= 10
-        k += 1
-    return f"<{k + 1} digits>"
 
 
 def _check_budget(p: Params, length: int, max_scan: int) -> None:
@@ -300,6 +284,9 @@ def equivalence_check(
     """
     _check_budget(p, length, max_scan)
     inventory = enumerate_cycles(build_mother_graph(p), max_cycles=max_cycles)
+    # Sorted by length, so the cycles that fit in `length` edges lead; the
+    # cap above still counted all of them.
+    inventory = inventory[: bisect_right(inventory, length, key=len)]
     lengths = [len(c.edges) for c in inventory]
     codes, touches = _balance_codes(inventory, p, length)
     opts = EnumerationOptions(leading_zero=FORBID_LEADING_ZERO, cap=max_strings)
@@ -313,6 +300,6 @@ def equivalence_check(
             continue
         walked.add(g.multiedges)
         for s in enumerate_strings(g, opts):
-            pipeline.add(value(DigitVec._trusted(tuple(pair.d1 for pair in s.pairs), p.b)))
+            pipeline.add(_from_msd(map(itemgetter(0), reversed(s.pairs)), p.b))
     brute = tuple(m for m, _ in _scan_hits(p, length))
     return EquivalenceReport(p, length, tuple(sorted(pipeline)), brute)

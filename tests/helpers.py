@@ -120,36 +120,52 @@ def reference_carry_step(d1, d2, p):
     return steps[0] if allowed else None
 
 
+def reference_strings(g, forbid_zero=False):
+    """Label tuples of g's Eulerian circuits from state 0, in walk order.
+
+    The reference enumerate_strings is checked against, order included: a
+    recursive depth-first walk over Counter(g.multiedges) rows, trying each
+    state's out-rows by (to-state, label) and taking one copy of a label at
+    a time.  With forbid_zero it drops circuits whose last label, the one
+    writing the leading product digit, has d1 == 0.  Returns [] when g has
+    no Eulerian circuit from 0.  Recursion is as deep as g has edges, fine
+    for the small unions the tests draw.
+    """
+    rows = {}
+    for (c1, c2, label), mult in sorted(Counter(g.multiedges).items()):
+        rows.setdefault(c1, []).append([c2, label, mult])
+    total = len(g.multiedges)
+    path, found = [], []
+
+    def walk(state):
+        if len(path) == total:
+            if state == 0 and not (forbid_zero and path[-1].d1 == 0):
+                found.append(tuple(path))
+            return
+        for row in rows.get(state, ()):
+            if row[2]:
+                row[2] -= 1
+                path.append(row[1])
+                walk(row[0])
+                path.pop()
+                row[2] += 1
+
+    if total:
+        walk(0)
+    return found
+
+
 def backtracking_label_distinct(g, forbid_zero=False):
     """Label-distinct Eulerian circuits of g from state 0, by exhaustive walk.
 
-    The reference count_circuits is checked against: it walks every circuit,
-    taking one copy of a label at a time, instead of dividing the BEST
-    determinant.  With forbid_zero it counts only circuits whose last label,
-    the one writing the leading product digit, has d1 != 0.  Returns 0 for
-    the empty multigraph.  Exponential, fine for the small unions the tests
-    draw.
+    The reference count_circuits is checked against: it walks every circuit
+    (reference_strings), taking one copy of a label at a time, instead of
+    dividing the BEST determinant.  With forbid_zero it counts only circuits
+    whose last label, the one writing the leading product digit, has
+    d1 != 0.  Returns 0 for the empty multigraph.  Exponential, fine for the
+    small unions the tests draw.
     """
-    from collections import Counter
-
-    rows = {}
-    for (c1, c2, label), mult in sorted(Counter(g.multiedges).items()):
-        rows.setdefault(c1, []).append([c2, mult, label.d1])
-    total = len(g.multiedges)
-
-    def walk(state, used, last_d1):
-        if used == total:
-            return 1 if state == 0 and (last_d1 or not forbid_zero) else 0
-        found = 0
-        for row in rows.get(state, ()):
-            if row[1] == 0:
-                continue
-            row[1] -= 1
-            found += walk(row[0], used + 1, row[2])
-            row[1] += 1
-        return found
-
-    return walk(0, 0, None) if total else 0
+    return len(reference_strings(g, forbid_zero))
 
 
 def naive_permutiples(p, length):

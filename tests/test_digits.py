@@ -30,6 +30,22 @@ def test_params_rejects_degenerate_pairs(n, b):
         Params(n, b)
 
 
+def test_params_text_names_a_huge_int_by_its_digit_count():
+    # Up to 640 digits every int prints under any int-to-str limit and the
+    # text is the dataclass's own; past it, the int is named by digit count.
+    assert repr(Params(2, 10)) == "Params(n=2, b=10)"
+    assert str(Params(2, 10)) == "(n=2, b=10)"
+    spelled = 10**640 - 1
+    assert repr(Params(3, spelled)) == f"Params(n=3, b={spelled})"
+    assert str(Params(3, spelled)) == f"(n=3, b={spelled})"
+    assert str(Params(2, 10**640)) == "(n=2, b=<641 digits>)"
+    huge = Params(2, 10**5000)
+    assert repr(huge) == "Params(n=2, b=<5001 digits>)"
+    assert str(huge) == "(n=2, b=<5001 digits>)"
+    both = Params(10**5000 - 1, 10**5000)
+    assert repr(both) == "Params(n=<5000 digits>, b=<5001 digits>)"
+
+
 def test_digitvec_is_least_significant_first():
     v = DigitVec.from_msd([8, 7, 9, 1, 2], 10)
     assert v.digits == (2, 1, 9, 7, 8)

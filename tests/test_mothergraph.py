@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from helpers import brute_force_cycles, cycle_index
@@ -10,6 +12,7 @@ from permutiples import (
     MotherGraph,
     Params,
     PermutipleWitness,
+    brute_force_search,
     build_mother_graph,
     edge_allowed,
     enumerate_cycles,
@@ -207,6 +210,30 @@ def test_cycle_order_is_deterministic_and_injective():
     inv2 = enumerate_cycles(build_mother_graph(P34))
     assert inv1 == inv2
     assert len(set(inv1)) == len(inv1)
+
+
+def test_inventory_text_is_pinned():
+    # Every edge is a DigitPair, never a bare tuple: str(cycle) and the CLI
+    # print "(d1,d2)" from DigitPair.__str__.  The (4, 10) inventory is
+    # pinned by the SHA-256 of its 986 cycle texts, one per line.
+    assert [str(c) for c in enumerate_cycles(build_mother_graph(P24))] == [
+        "(0,0)", "(3,3)", "(1,2)(2,1)", "(0,2)(2,1)(1,0)", "(1,2)(2,3)(3,1)",
+        "(0,2)(2,3)(3,1)(1,0)",
+    ]
+    assert [str(c) for c in enumerate_cycles(build_mother_graph(P34))] == [
+        "(0,0)", "(1,1)", "(2,2)", "(3,3)", "(0,1)(1,0)", "(0,2)(2,0)", "(1,3)(3,1)",
+        "(2,3)(3,2)", "(0,1)(1,3)(3,2)(2,0)", "(0,2)(2,3)(3,1)(1,0)",
+    ]
+    inv = enumerate_cycles(build_mother_graph(P410))
+    assert all(type(e) is DigitPair for c in inv for e in c.edges)
+    text = "\n".join(str(c) for c in inv).encode()
+    assert len(inv) == 986
+    assert hashlib.sha256(text).hexdigest() == (
+        "199a16268ddea2cbf8be582388506482317f85cd6dd0f1b63d598e486c379c10"
+    )
+    for p in (P24, P34, Params(2, 5), Params(3, 7)):
+        g = graph_of_witness(brute_force_search(p, 4)[-1])
+        assert all(type(e) is DigitPair for c in enumerate_cycles(g) for e in c.edges)
 
 
 def test_cycle_cap_raises():

@@ -11,6 +11,7 @@ from helpers import (
 )
 from permutiples import (
     BudgetExceededError,
+    CapExceededError,
     CycleMultiset,
     EquivalenceReport,
     Params,
@@ -341,3 +342,14 @@ def test_each_union_is_walked_once(monkeypatch):
     rep = equivalence_check(P24, 8)
     assert len(set(walked)) == len(walked) < len(built)  # duplicate unions were skipped
     assert rep.match and len(rep.pipeline_values) == 1701
+
+
+def test_cycle_cap_counts_the_whole_inventory():
+    # (4, 10) has 986 cycles and 130 of them fit in 5 edges; the sweep keeps
+    # only those, but max_cycles still caps the full cycle search.
+    inventory = enumerate_cycles(build_mother_graph(P410))
+    assert len(inventory) == 986
+    assert sum(len(c) <= 5 for c in inventory) == 130
+    with pytest.raises(CapExceededError):
+        equivalence_check(P410, 5, max_cycles=985)
+    assert equivalence_check(P410, 5, max_cycles=986).match

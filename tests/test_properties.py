@@ -20,7 +20,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import backtracking_label_distinct, cycle_index, reference_verify_witness
+from helpers import (
+    backtracking_label_distinct,
+    cycle_index,
+    reference_strings,
+    reference_verify_witness,
+)
 from permutiples import (
     CapExceededError,
     CarrySeq,
@@ -46,7 +51,7 @@ from permutiples import (
     verify_witness,
 )
 from permutiples import euler
-from permutiples.euler import FORBID_LEADING_ZERO
+from permutiples.euler import ALLOW_LEADING_ZERO, FORBID_LEADING_ZERO
 from permutiples.oracle import _cycle_multisets
 
 SMALL = [
@@ -209,6 +214,18 @@ def test_forbid_mode_count_matches_backtracking(data):
     if expected > 1:
         with pytest.raises(CapExceededError):
             enumerate_strings(g, dataclasses.replace(forbid, cap=expected - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), forbid=st.booleans())
+def test_walk_order_matches_recursive_reference(data, forbid):
+    # The walker's strings, order included, against a recursive walk of the
+    # same (to-state, label) rows in both leading-zero modes.
+    p, inv, idx = draw_multiset(data)
+    g = union_images(CycleMultiset.from_indices(idx), p, inv)
+    mode = FORBID_LEADING_ZERO if forbid else ALLOW_LEADING_ZERO
+    strings = enumerate_strings(g, EnumerationOptions(leading_zero=mode))
+    assert [s.pairs for s in strings] == reference_strings(g, forbid_zero=forbid)
 
 
 def product_multisets(lengths, total):
