@@ -3,7 +3,9 @@
 Plain dict-of-lists adjacency, nothing fancy.  The cycle search is Johnson's
 blocked backtracking, run once per start vertex inside the strongly
 connected component of the still-unprocessed subgraph, so every elementary
-cycle is produced exactly once and starts at its smallest vertex.
+cycle is produced exactly once and starts at its smallest vertex.  The
+short-cycle search finds the same cycles up to a given length by a depth-
+bounded walk, pruned by each vertex's distance back to the start.
 """
 
 from __future__ import annotations
@@ -103,6 +105,62 @@ def elementary_cycles(
         comp_set = set(comp)
         cadj = {v: [w for w in sub[v] if w in comp_set] for v in comp}
         _blocked_search(s, cadj, record)
+    return found
+
+
+def short_cycles(
+    vertices: Iterable[int],
+    adj: Mapping[int, Sequence[int]],
+    length: int,
+    limit: int | None = None,
+) -> list[list[int]]:
+    """The elementary cycles of at most `length` edges, each as a vertex list.
+
+    The same cycles as elementary_cycles keeps of that length, each rotated
+    so its smallest vertex comes first, in another order.  From each start s
+    the walk goes only through vertices above s and steps to a vertex w only
+    when the path's edges plus w's distance back to s stay within `length`.
+    Those distances come from a breadth-first search toward s, stopped at
+    `length`, so the work follows the length and not the size of the graph.
+    Raises CapExceededError as soon as more than `limit` cycles have been seen.
+    """
+    verts = sorted(set(vertices))
+    into: dict[int, list[int]] = {v: [] for v in verts}
+    for v in verts:
+        for w in adj.get(v, ()):
+            into[w].append(v)
+    found: list[list[int]] = []
+    for s in verts:
+        # dist[v]: fewest edges from v back to s through vertices above s
+        dist = {s: 0}
+        frontier = [s]
+        for step in range(1, length):
+            reached = []
+            for w in frontier:
+                for v in into[w]:
+                    if v > s and v not in dist:
+                        dist[v] = step
+                        reached.append(v)
+            if not reached:
+                break
+            frontier = reached
+        # One successor iterator per path vertex, on an explicit stack; a
+        # vertex with no distance is more than `length` - 1 edges from s.
+        path = [s]
+        frames = [iter(adj.get(s, ()))]
+        while frames:
+            for w in frames[-1]:
+                if w == s:
+                    found.append(path.copy())
+                    if limit is not None and len(found) > limit:
+                        raise CapExceededError(f"more than {limit} elementary cycles")
+                elif len(path) + dist.get(w, length) <= length and w not in path:
+                    path.append(w)
+                    frames.append(iter(adj[w]))
+                    break
+            else:
+                frames.pop()
+                path.pop()
     return found
 
 

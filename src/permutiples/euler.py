@@ -18,7 +18,6 @@ from typing import Iterator, NamedTuple, Optional
 
 from ._digraph import strongly_connected_components
 from .errors import CapExceededError
-from .mothergraph import DigitPair
 from .statemachine import HSMultigraph, LabeledMultiedge, PermutipleString
 
 __all__ = [
@@ -114,31 +113,36 @@ def condition_report(g: HSMultigraph) -> ConditionReport:
     )
 
 
-def _grouped_out_edges(g: HSMultigraph) -> dict[int, list[list]]:
-    """Per state: [to, label, multiplicity] rows sorted by (to, label)."""
+def _rows(arcs) -> dict[int, list[list]]:
+    """Per state: [to, label, multiplicity] rows sorted by (to, label).
+
+    arcs are (from, to, label) triples, one per multiedge copy.
+    """
     groups: dict[int, dict[tuple, list]] = {}
-    for e in g.multiedges:
-        row = groups.setdefault(e.c1, {}).setdefault((e.c2, e.label), [e.c2, e.label, 0])
+    for v, to, label in arcs:
+        row = groups.setdefault(v, {}).setdefault((to, label), [to, label, 0])
         row[2] += 1
     return {v: [rows[k] for k in sorted(rows)] for v, rows in groups.items()}
 
 
-def _circuits(g: HSMultigraph) -> Iterator[tuple[DigitPair, ...]]:
-    """Label sequences of the Eulerian circuits of g from state 0.
+def _circuits(
+    groups: dict[int, list[list]], first_rows: list[list], total: int
+) -> Iterator[tuple]:
+    """Label sequences of the Eulerian circuits of `total` edges from state 0.
 
-    Depth-first over out-edges ordered by (to-state, label), one copy of a
-    label at a time, on an explicit stack: depth d holds the out-rows of the
-    carry state reached after d steps and the index of the row taken there,
-    and i is the next row to try at the current depth.  Only for multigraphs
-    with a positive BEST count: every state reached has out-rows, and a
-    trail from 0 that uses every edge of a balanced multigraph ends at 0.
+    Depth-first over the rows of groups, one copy of a label at a time, on
+    an explicit stack: depth d holds the rows of the state reached after d
+    steps and the index of the row taken there, and i is the next row to
+    try at the current depth.  Depth 0 tries first_rows: state 0's rows, or
+    some of those same row lists, whose copy counts later visits to 0 share.
+    Only for multigraphs with a positive BEST count: every state reached
+    has rows, and a trail from 0 that uses every edge of a balanced
+    multigraph ends at 0.
     """
-    groups = _grouped_out_edges(g)
-    total = len(g.multiedges)
     labels: list = [None] * total
     taken = [0] * total
     rows_at: list = [None] * total
-    rows = groups[0]
+    rows = first_rows
     depth = i = 0
     while True:
         end = len(rows)
@@ -185,18 +189,46 @@ def enumerate_strings(
     """
     if opts is None:
         opts = EnumerationOptions()
-    distinct = count_sequences_by_arborescences(g) // _copy_orders(g)
-    if not distinct:
-        return ()
     forbid_zero = opts.leading_zero == FORBID_LEADING_ZERO
-    # _nonzero_led never exceeds distinct, so runs under the cap skip it.
-    if distinct > opts.cap and (not forbid_zero or _nonzero_led(g, distinct) > opts.cap):
-        raise CapExceededError(f"more than {opts.cap} strings")
+    if not _string_count(g, forbid_zero, opts.cap):
+        return ()
+    groups = _rows(g.multiedges)
     return tuple(
         PermutipleString._trusted(labels)
-        for labels in _circuits(g)
+        for labels in _circuits(groups, groups[0], len(g.multiedges))
         if not (forbid_zero and labels[-1].d1 == 0)
     )
+
+
+def _product_digits(g: HSMultigraph, cap: int) -> Iterator[tuple[int, ...]]:
+    """Product digits, most significant first, of g's strings with no leading zero.
+
+    The strings enumerate_strings(g) keeps with leading zeros forbidden, in
+    another order, and the same CapExceededError, raised before anything is
+    walked.  The walk runs on the reversed multigraph from state 0, so its
+    first edge is the circuit's last one, which writes the leading digit:
+    only the in-edges of 0 with d1 != 0 start a walk, and no circuit is
+    walked only to be dropped.  A row keys on d1 alone, because c1, c2 and
+    d1 fix d2.
+    """
+    if not _string_count(g, True, cap):
+        return iter(())
+    groups = _rows((e.c2, e.c1, e.label.d1) for e in g.multiedges)
+    first = [row for row in groups[0] if row[1]]
+    return _circuits(groups, first, len(g.multiedges))
+
+
+def _string_count(g: HSMultigraph, forbid_zero: bool, cap: int) -> int:
+    """g's label-distinct strings, leading zeros or not; 0 when g spells none.
+
+    Raises CapExceededError when more than cap strings survive the
+    leading-zero rule, which both counts know exactly, so no walk starts.
+    """
+    distinct = count_sequences_by_arborescences(g) // _copy_orders(g)
+    # _nonzero_led never exceeds distinct, so runs under the cap skip it.
+    if distinct > cap and (not forbid_zero or _nonzero_led(g, distinct) > cap):
+        raise CapExceededError(f"more than {cap} strings")
+    return distinct
 
 
 def _nonzero_led(g: HSMultigraph, distinct: int) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from ._digraph import elementary_cycles
+from ._digraph import elementary_cycles, short_cycles
 from .digits import Params, PermutipleWitness
 
 __all__ = [
@@ -226,7 +226,24 @@ def enumerate_cycles(
     """
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be positive, got {max_cycles}")
-    raw = elementary_cycles(g.vertices, g.successors(), limit=max_cycles)
+    return _canonical(g, elementary_cycles(g.vertices, g.successors(), limit=max_cycles))
+
+
+def _short_cycles(
+    g: DigitGraph, length: int, max_cycles: int = DEFAULT_MAX_CYCLES
+) -> tuple[Cycle, ...]:
+    """The cycles of g with at most `length` edges, with their canonical indices.
+
+    Equal to the prefix of enumerate_cycles(g) that holds them, so every
+    index names the same cycle, but the search never looks at longer
+    cycles.  Raises CapExceededError when more than max_cycles of them exist.
+    """
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be positive, got {max_cycles}")
+    return _canonical(g, short_cycles(g.vertices, g.successors(), length, limit=max_cycles))
+
+
+def _canonical(g: DigitGraph, raw: list[list[int]]) -> tuple[Cycle, ...]:
     # Each vertex list is elementary and starts at its smallest vertex; a plain
     # (d1, d2) tuple hashes and compares equal to the graph's own DigitPair.
     edge = {e: e for e in g.edges}

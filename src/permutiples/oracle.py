@@ -23,22 +23,15 @@ Both routes keep the plain per-candidate loop in the tests as reference.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .digits import Params, PermutipleWitness, _decimal, _from_msd, digits_of
 from .errors import BudgetExceededError
-from .euler import (
-    DEFAULT_MAX_STRINGS,
-    FORBID_LEADING_ZERO,
-    EnumerationOptions,
-    enumerate_strings,
-)
-from .mothergraph import DEFAULT_MAX_CYCLES, Cycle, build_mother_graph, enumerate_cycles
-from .mothergraph import _carry_steps, _multiply, _step
+from .euler import DEFAULT_MAX_STRINGS, _product_digits
+from .mothergraph import DEFAULT_MAX_CYCLES, Cycle, build_mother_graph
+from .mothergraph import _carry_steps, _multiply, _short_cycles, _step
 from .statemachine import CycleMultiset, LabeledMultiedge, union_images
 
 __all__ = [
@@ -276,20 +269,20 @@ def equivalence_check(
     components spell.  Scan route: the brute-force scan's products.  Any
     symmetric difference means one side is wrong.
 
-    The scan budget is checked before anything runs.  Balance and contact
-    with carry 0 add up over cycle images, so a multiset that fails either
-    is dropped from per-cycle data before its union is built; the BEST
-    count then decides the rest.  Distinct multisets can share one union,
-    and each union is walked once.
+    The scan budget is checked before anything runs.  The cycle search
+    stops at `length` edges, and max_cycles counts only the cycles it
+    finds.  Balance and contact with carry 0 add up over cycle images, so
+    a multiset that fails either is dropped from per-cycle data before its
+    union is built; the BEST count then decides the rest.  Distinct
+    multisets can share one union, and each union is walked once, from its
+    last edge back, so only strings with a nonzero leading digit are walked.
     """
     _check_budget(p, length, max_scan)
-    inventory = enumerate_cycles(build_mother_graph(p), max_cycles=max_cycles)
-    # Sorted by length, so the cycles that fit in `length` edges lead; the
-    # cap above still counted all of them.
-    inventory = inventory[: bisect_right(inventory, length, key=len)]
+    inventory = _short_cycles(build_mother_graph(p), length, max_cycles=max_cycles)
     lengths = [len(c.edges) for c in inventory]
     codes, touches = _balance_codes(inventory, p, length)
-    opts = EnumerationOptions(leading_zero=FORBID_LEADING_ZERO, cap=max_strings)
+    if max_strings < 1:
+        raise ValueError(f"max_strings must be positive, got {max_strings}")
     pipeline: set[int] = set()
     walked: set[tuple[LabeledMultiedge, ...]] = set()
     for counts in _cycle_multisets(lengths, length):
@@ -299,7 +292,7 @@ def equivalence_check(
         if g.multiedges in walked:
             continue
         walked.add(g.multiedges)
-        for s in enumerate_strings(g, opts):
-            pipeline.add(_from_msd(map(itemgetter(0), reversed(s.pairs)), p.b))
+        for digits in _product_digits(g, max_strings):
+            pipeline.add(_from_msd(digits, p.b))
     brute = tuple(m for m, _ in _scan_hits(p, length))
     return EquivalenceReport(p, length, tuple(sorted(pipeline)), brute)

@@ -466,7 +466,7 @@ def test_equiv_checks_the_scan_budget_first(capsys, monkeypatch):
     def no_cycles(*args, **kwargs):
         raise AssertionError("cycle search ran on an over-budget equiv")
 
-    monkeypatch.setattr("permutiples.oracle.enumerate_cycles", no_cycles)
+    monkeypatch.setattr("permutiples.oracle._short_cycles", no_cycles)
     code, out, err = run(capsys, "equiv", "--n", "4", "--b", "10", "--len", "12")
     assert code == EXIT_BUDGET
     assert out == ""
@@ -584,6 +584,29 @@ def test_equiv_on_two_thousand_cycles():
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.splitlines()[0] == "equivalence for (n=4, b=11), length 3: MATCH"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n,b,length", [(7, 10, 4), (8, 10, 5), (9, 10, 5), (5, 16, 4)])
+def test_equiv_searches_only_the_cycles_that_fit(capsys, n, b, length):
+    # Each whole inventory passes 50 000 cycles, but few have `length` edges
+    code, out, err = run(capsys, "equiv", "--n", str(n), "--b", str(b), "--len", str(length))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0] == f"equivalence for (n={n}, b={b}), length {length}: MATCH"
+
+
+def test_equiv_caps_the_cycles_that_fit(capsys):
+    # (9, 10) has 15 958 cycles of at most 6 edges
+    code, out, err = run(capsys, "equiv", "--n", "9", "--b", "10", "--len", "6")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == "error: more than 10000 elementary cycles\n"
+
+
+def test_equiv_on_a_huge_base_searches_to_the_length(capsys):
+    # 1 100 start vertices, each searched two edges deep, not down the
+    # hundreds-deep paths Johnson's search follows on (2, 1100)
+    code, out, err = run(capsys, "equiv", "--n", "2", "--b", "1100", "--len", "2")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0] == "equivalence for (n=2, b=1100), length 2: MATCH"
 
 
 def test_cycles_on_deep_paths_stop_at_the_cap():

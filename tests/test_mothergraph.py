@@ -1,4 +1,5 @@
 import hashlib
+from bisect import bisect_right
 
 import pytest
 
@@ -20,6 +21,7 @@ from permutiples import (
     graph_to_dot,
     is_in_class,
 )
+from permutiples.mothergraph import _short_cycles
 
 P24 = Params(2, 4)
 P34 = Params(3, 4)
@@ -241,6 +243,31 @@ def test_cycle_cap_raises():
         enumerate_cycles(build_mother_graph(P24), max_cycles=2)
     with pytest.raises(ValueError):
         enumerate_cycles(build_mother_graph(P24), max_cycles=0)
+
+
+@pytest.mark.parametrize(
+    "n,b,lengths",
+    [(n, b, range(1, 9)) for b in range(3, 9) for n in range(2, b)]
+    + [(n, b, range(1, b + 2)) for n, b in [(4, 10), (3, 7), (4, 11)]],
+)
+def test_short_cycles_are_the_inventory_prefix(n, b, lengths):
+    # Johnson's whole inventory, sliced at the length, is the bounded
+    # search's slow twin: same cycles, same indices, the graph's own pairs.
+    g = build_mother_graph(Params(n, b))
+    inv = enumerate_cycles(g)
+    for length in lengths:
+        short = _short_cycles(g, length)
+        assert short == inv[: bisect_right(inv, length, key=len)], length
+        assert all(type(e) is DigitPair for c in short for e in c.edges)
+
+
+def test_short_cycle_cap_counts_the_cycles_that_fit():
+    g = build_mother_graph(P410)  # 130 of its 986 cycles have at most 5 edges
+    with pytest.raises(CapExceededError, match="^more than 129 elementary cycles$"):
+        _short_cycles(g, 5, max_cycles=129)
+    assert len(_short_cycles(g, 5, max_cycles=130)) == 130
+    with pytest.raises(ValueError):
+        _short_cycles(g, 5, max_cycles=0)
 
 
 @pytest.mark.parametrize(

@@ -21,14 +21,15 @@ from permutiples import (
     count_sequences_by_arborescences,
     edge_allowed,
     enumerate_cycles,
-    enumerate_strings,
     equivalence_check,
+    euler,
     oracle,
     palintiple_count,
     union_images,
     value,
     verify_witness,
 )
+from permutiples.euler import _product_digits
 from permutiples.oracle import _cycle_multisets, _signature_table
 
 P24 = Params(2, 4)
@@ -334,22 +335,34 @@ def test_each_union_is_walked_once(monkeypatch):
     built = _built_unions(monkeypatch, P24, 8)
     walked = []
 
-    def spy(g, opts):
+    def spy(g, cap):
         walked.append(g.multiedges)
-        return enumerate_strings(g, opts)
+        return _product_digits(g, cap)
 
-    monkeypatch.setattr(oracle, "enumerate_strings", spy)
+    monkeypatch.setattr(oracle, "_product_digits", spy)
     rep = equivalence_check(P24, 8)
     assert len(set(walked)) == len(walked) < len(built)  # duplicate unions were skipped
     assert rep.match and len(rep.pipeline_values) == 1701
 
 
-def test_cycle_cap_counts_the_whole_inventory():
-    # (4, 10) has 986 cycles and 130 of them fit in 5 edges; the sweep keeps
-    # only those, but max_cycles still caps the full cycle search.
+def test_string_cap_is_checked_before_walking(monkeypatch):
+    # The sweep's walker checks the same exact count as enumerate_strings.
+    def no_walk(*args):
+        raise AssertionError("walked although the count exceeds the cap")
+
+    monkeypatch.setattr(euler, "_circuits", no_walk)
+    with pytest.raises(CapExceededError, match="^more than 1 strings$"):
+        equivalence_check(P24, 8, max_strings=1)
+    with pytest.raises(ValueError, match="^max_strings must be positive, got 0$"):
+        equivalence_check(P24, 8, max_strings=0)
+
+
+def test_cycle_cap_counts_the_cycles_that_fit():
+    # (4, 10) has 986 cycles and 130 of them fit in 5 edges; the sweep's
+    # search finds only those, and max_cycles caps them alone.
     inventory = enumerate_cycles(build_mother_graph(P410))
     assert len(inventory) == 986
     assert sum(len(c) <= 5 for c in inventory) == 130
     with pytest.raises(CapExceededError):
-        equivalence_check(P410, 5, max_cycles=985)
-    assert equivalence_check(P410, 5, max_cycles=986).match
+        equivalence_check(P410, 5, max_cycles=129)
+    assert equivalence_check(P410, 5, max_cycles=130).match

@@ -51,7 +51,7 @@ from permutiples import (
     verify_witness,
 )
 from permutiples import euler
-from permutiples.euler import ALLOW_LEADING_ZERO, FORBID_LEADING_ZERO
+from permutiples.euler import ALLOW_LEADING_ZERO, DEFAULT_MAX_STRINGS, FORBID_LEADING_ZERO
 from permutiples.oracle import _cycle_multisets
 
 SMALL = [
@@ -226,6 +226,29 @@ def test_walk_order_matches_recursive_reference(data, forbid):
     mode = FORBID_LEADING_ZERO if forbid else ALLOW_LEADING_ZERO
     strings = enumerate_strings(g, EnumerationOptions(leading_zero=mode))
     assert [s.pairs for s in strings] == reference_strings(g, forbid_zero=forbid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_closer_first_walk_spells_the_enumerated_values(data):
+    # equivalence_check walks the reversed union from its last edge, reading
+    # product digits most significant first; as a sorted list its values
+    # must be those of the strings with no leading zero, and their number
+    # the exact count.
+    p, inv, idx = draw_multiset(data)
+    g = union_images(CycleMultiset.from_indices(idx), p, inv)
+    walked = [
+        sum(d * p.b**i for i, d in enumerate(reversed(digits)))
+        for digits in euler._product_digits(g, DEFAULT_MAX_STRINGS)
+    ]
+    forbid = EnumerationOptions(leading_zero=FORBID_LEADING_ZERO)
+    enumerated = [
+        sum(pair.d1 * p.b**i for i, pair in enumerate(s.pairs))
+        for s in enumerate_strings(g, forbid)
+    ]
+    assert sorted(walked) == sorted(enumerated)
+    distinct = count_circuits(g).label_distinct
+    assert len(walked) == (euler._nonzero_led(g, distinct) if distinct else 0)
 
 
 def product_multisets(lengths, total):
