@@ -3,7 +3,7 @@
 A pair (d1, d2) can serve as some position's (product digit, multiplicand
 digit) only when one step of multiplying by n writes it: n*d2 + c1 = d1 +
 b*c2 with carries in 0..n-1.  That step is written once, in _multiply;
-_carry_steps tabulates it for all modules and _step solves it for one pair.
+_carry_row applies it to one carry's b digits; _step solves it for one pair.
 All such pairs of digits 0..b-1 form the mother graph for (n, b); the pairs
 one witness actually uses form its class graph, a subgraph.  Edge multisets
 of permutiples always split into elementary directed cycles of the mother
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from ._digraph import elementary_cycles, short_cycles
@@ -54,26 +53,20 @@ def _multiply(p: Params, d2: int, c1: int) -> tuple[int, int]:
     return divmod(p.n * d2 + c1, p.b)
 
 
-@lru_cache(maxsize=1)
-def _carry_steps(p: Params) -> dict[DigitPair, tuple[int, int]]:
-    """The carry step (c1, c2) of every allowed pair (d1, d2), keys sorted.
+def _carry_row(p: Params, c1: int) -> list[tuple[int, int, int]]:
+    """The b steps out of carry c1, as (d2, d1, c2) by ascending d2.
 
-    The n carries c1 write n distinct digits d1 for each d2, so there are
-    n*b pairs.  The cache keeps one (n, b), the last asked for.  Never mutate.
+    The n carries write n distinct digits d1 for each d2, so the rows of
+    c1 = 0..n-1 hold the n*b allowed pairs, each once.
     """
-    steps = {}
-    for d2 in range(p.b):
-        for c1 in range(p.n):
-            c2, d1 = _multiply(p, d2, c1)
-            steps[DigitPair(d1, d2)] = (c1, c2)
-    return dict(sorted(steps.items()))
+    return [(d2, d1, c2) for d2 in range(p.b) for c2, d1 in [_multiply(p, d2, c1)]]
 
 
 def _step(pair: DigitPair | tuple[int, int], p: Params) -> tuple[int, int] | None:
     """The carry step of a pair of base-b digits, or None when it is not allowed.
 
-    Works on the one pair without building the table: the only carry that
-    can write d1 from d2 is c1 = (d1 - n*d2) mod b, and it must be below n.
+    Works on the one pair, in O(1) at any base: the only carry that can
+    write d1 from d2 is c1 = (d1 - n*d2) mod b, and it must be below n.
     Non-integral values inside the digit range are never allowed.
     """
     d1, d2 = pair
@@ -144,7 +137,8 @@ class ClassGraph(DigitGraph):
 
 def build_mother_graph(p: Params) -> MotherGraph:
     """Every allowed digit pair for (n, b), in lexicographic order."""
-    return MotherGraph(p, tuple(_carry_steps(p)))
+    pairs = (DigitPair(d1, d2) for c1 in range(p.n) for d2, d1, _ in _carry_row(p, c1))
+    return MotherGraph(p, tuple(pairs))
 
 
 def graph_of_witness(w: PermutipleWitness) -> ClassGraph:

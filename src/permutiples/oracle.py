@@ -30,9 +30,8 @@ from typing import Iterator, Sequence
 from .digits import Params, PermutipleWitness, _decimal, _from_msd, digits_of
 from .errors import BudgetExceededError
 from .euler import DEFAULT_MAX_STRINGS, _product_digits
-from .mothergraph import DEFAULT_MAX_CYCLES, Cycle, build_mother_graph
-from .mothergraph import _carry_steps, _multiply, _short_cycles, _step
-from .statemachine import CycleMultiset, LabeledMultiedge, union_images
+from .mothergraph import DEFAULT_MAX_CYCLES, _carry_row, _short_cycles, _step, build_mother_graph
+from .statemachine import LabeledMultiedge, _join_images, cycle_multi_image
 
 __all__ = [
     "EquivalenceReport",
@@ -161,9 +160,9 @@ def palintiple_count(p: Params, length: int, max_scan: int = DEFAULT_MAX_SCAN) -
     for j in range(length // 2):
         reached: dict[tuple[int, int], int] = {}
         for (low, high), count in ways.items():
-            if low not in moves:  # only the carries the walk reaches, no n*b table
-                writes = ((a, *_multiply(p, a, low)) for a in range(p.b))
-                moves[low] = [(a, c2, *m) for a, c2, z in writes if (m := _step((a, z), p))]
+            if low not in moves:  # rows only for the carries the walk reaches
+                row = _carry_row(p, low)
+                moves[low] = [(a, c2, *m) for a, z, c2 in row if (m := _step((a, z), p))]
             for a, c2, h1, h2 in moves[low]:
                 if h2 == high and (a or j):  # a becomes the product's leading digit
                     reached[c2, h1] = reached.get((c2, h1), 0) + count
@@ -229,9 +228,9 @@ def _cycle_multisets(cycle_lengths, total):
 
 
 def _balance_codes(
-    inventory: Sequence[Cycle], p: Params, length: int
+    images: Sequence[tuple[LabeledMultiedge, ...]], p: Params, length: int
 ) -> tuple[list[int], list[bool]]:
-    """Per inventory cycle: packed carry-degree deltas, and contact with carry 0.
+    """Per cycle image: packed carry-degree deltas, and contact with carry 0.
 
     Each edge c1 -> c2 adds place**c2 - place**c1, so slot s of a code holds
     indegree minus outdegree of carry s.  In a union of `length` edges every
@@ -241,16 +240,8 @@ def _balance_codes(
     """
     place = 2 * length + 1
     weight = [place**c for c in range(p.n)]
-    steps = _carry_steps(p)
-    codes, touches = [], []
-    for cycle in inventory:
-        code, zero = 0, False
-        for pair in cycle.edges:
-            c1, c2 = steps[pair]
-            code += weight[c2] - weight[c1]
-            zero = zero or c1 == 0 or c2 == 0
-        codes.append(code)
-        touches.append(zero)
+    codes = [sum(weight[c2] - weight[c1] for c1, c2, _ in image) for image in images]
+    touches = [any(c1 == 0 or c2 == 0 for c1, c2, _ in image) for image in images]
     return codes, touches
 
 
@@ -269,26 +260,27 @@ def equivalence_check(
     components spell.  Scan route: the brute-force scan's products.  Any
     symmetric difference means one side is wrong.
 
-    The scan budget is checked before anything runs.  The cycle search
-    stops at `length` edges, and max_cycles counts only the cycles it
-    finds.  Balance and contact with carry 0 add up over cycle images, so
-    a multiset that fails either is dropped from per-cycle data before its
-    union is built; the BEST count then decides the rest.  Distinct
-    multisets can share one union, and each union is walked once, from its
-    last edge back, so only strings with a nonzero leading digit are walked.
+    The scan budget and the string cap are checked before anything runs.
+    The cycle search stops at `length` edges, and max_cycles counts only the
+    cycles it finds.  Balance and contact with carry 0 add up over the cycle
+    images, each solved once, so a multiset failing either is dropped before
+    its union is joined; the BEST count decides the rest.  Distinct multisets
+    can share one union, and each union is walked once, from its last edge
+    back, so only strings with a nonzero leading digit are walked.
     """
     _check_budget(p, length, max_scan)
-    inventory = _short_cycles(build_mother_graph(p), length, max_cycles=max_cycles)
-    lengths = [len(c.edges) for c in inventory]
-    codes, touches = _balance_codes(inventory, p, length)
     if max_strings < 1:
         raise ValueError(f"max_strings must be positive, got {max_strings}")
+    inventory = _short_cycles(build_mother_graph(p), length, max_cycles=max_cycles)
+    lengths = [len(c.edges) for c in inventory]
+    images = [cycle_multi_image(c, p).multiedges for c in inventory]
+    codes, touches = _balance_codes(images, p, length)
     pipeline: set[int] = set()
     walked: set[tuple[LabeledMultiedge, ...]] = set()
     for counts in _cycle_multisets(lengths, length):
         if sum(mult * codes[i] for i, mult in counts) or not any(touches[i] for i, _ in counts):
             continue
-        g = union_images(CycleMultiset(counts), p, inventory)
+        g = _join_images(p, images, counts)
         if g.multiedges in walked:
             continue
         walked.add(g.multiedges)

@@ -102,7 +102,7 @@ def peel_cycle_cover(pairs):
 def reference_carry_step(d1, d2, p):
     """Carry step (c1, c2) of a digit pair from first principles, or None.
 
-    The reference the package's carry-step table is checked against, in
+    The reference the package's carry rule is checked against, in
     plain ints: the pair is allowed when the residue (d1 - n*d2) % b is at
     most n - 1, and its step is the (c1, c2) in 0..n-1 that satisfies the
     recurrence b*c2 - c1 == n*d2 - d1, found by trying every c2.  Asserts

@@ -289,13 +289,14 @@ def test_equivalence_reads_the_scan_products(n, b):
 def _built_unions(monkeypatch, p, length):
     """The multisets equivalence_check builds a union for, in order."""
     built = []
+    join = oracle._join_images
 
-    def spy(ms, params, inventory):
-        built.append(ms.counts)
-        return union_images(ms, params, inventory)
+    def spy(params, images, counts):
+        built.append(counts)
+        return join(params, images, counts)
 
     with monkeypatch.context() as m:
-        m.setattr(oracle, "union_images", spy)
+        m.setattr(oracle, "_join_images", spy)
         assert equivalence_check(p, length).match
     return built
 
@@ -355,6 +356,15 @@ def test_string_cap_is_checked_before_walking(monkeypatch):
         equivalence_check(P24, 8, max_strings=1)
     with pytest.raises(ValueError, match="^max_strings must be positive, got 0$"):
         equivalence_check(P24, 8, max_strings=0)
+
+
+def test_string_cap_is_checked_before_the_cycle_search(monkeypatch):
+    def no_cycles(*args, **kwargs):
+        raise AssertionError("cycle search ran with a string cap of 0")
+
+    monkeypatch.setattr(oracle, "_short_cycles", no_cycles)
+    with pytest.raises(ValueError, match="^max_strings must be positive, got 0$"):
+        equivalence_check(P24, 4, max_strings=0)
 
 
 def test_cycle_cap_counts_the_cycles_that_fit():

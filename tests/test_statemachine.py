@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from helpers import cycle_index, reference_carry_step
@@ -30,7 +32,7 @@ from permutiples import (
     value,
     verify_witness,
 )
-from permutiples.mothergraph import _carry_steps
+from permutiples.mothergraph import _carry_row
 
 P24 = Params(2, 4)
 P34 = Params(3, 4)
@@ -72,11 +74,17 @@ def test_transition_agrees_with_edge_predicate():
 
 
 def test_carry_steps_match_plain_int_reference():
-    # edge_allowed, transition and both graph builders read one table; the
-    # reference rebuilds every pair's step from the residue and the recurrence.
+    # edge_allowed, transition, the per-carry rows and both graph builders
+    # apply one rule; the reference rebuilds every pair's step from the
+    # residue and the recurrence.
     for b in range(3, 25):
         for n in range(2, b):
             p = Params(n, b)
+            for c1 in range(n):
+                row = _carry_row(p, c1)
+                assert [d2 for d2, _, _ in row] == list(range(b))
+                for d2, d1, c2 in row:
+                    assert reference_carry_step(d1, d2, p) == (c1, c2)
             steps = {}
             for d1 in range(b):
                 for d2 in range(b):
@@ -102,11 +110,9 @@ def test_single_pair_queries_build_no_table():
     # One pair costs O(1) at any base: the table for (2, 10**6) would hold
     # two million entries.
     big = Params(2, 10**6)
-    misses = _carry_steps.cache_info().misses
     assert transition((0, 0), big) == (0, 0)
     assert transition((10**6 - 1, 10**6 - 1), big) == (1, 1)
     assert edge_allowed((1, 0), big) and not edge_allowed((2, 0), big)
-    assert _carry_steps.cache_info().misses == misses
     # Non-integral values are no digits of any pair; integral ones give int carries.
     with pytest.raises(RejectedPairError):
         transition((0.5, 0), P24)
@@ -115,10 +121,20 @@ def test_single_pair_queries_build_no_table():
     assert step == (1, 0) and all(type(c) is int for c in step)
 
 
-def test_carry_step_cache_keeps_one_table():
-    build_hs_multigraph(P24)
-    build_hs_multigraph(P410)
-    assert _carry_steps.cache_info().currsize == 1
+def test_pair_routes_allocate_nothing_per_base():
+    # A one-pair string and a one-loop image read only their own steps; a
+    # table of every step of (2, 10**6) would take hundreds of megabytes.
+    big = Params(2, 10**6)
+    tracemalloc.start()
+    try:
+        w = string_to_witness(PermutipleString((DigitPair(0, 0),)), big)
+        img = cycle_multi_image(Cycle(((0, 0),)), big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.carries.carries == (0, 0)
+    assert [(e.c1, e.c2) for e in img.multiedges] == [(0, 0)]
+    assert peak < 2**20
 
 
 # === full machine ===
@@ -336,6 +352,30 @@ def test_string_rejections():
         string_to_witness(PermutipleString((DigitPair(2, 0),)), P24)
     with pytest.raises(ValueError):  # 4 is not a base-4 digit
         string_to_witness(PermutipleString((DigitPair(4, 0),)), P24)
+
+
+def _walk(pairs, p=Params(2, 10)):
+    return string_to_witness(PermutipleString(tuple(DigitPair(*x) for x in pairs)), p)
+
+
+def test_string_replay_edge_pairs():
+    # Non-integral digits are no pair of any step, integral floats take the
+    # int step, and a pair from the wrong carry names the carry it needs.
+    for pair in [(5, 2.5), (0.5, 0)]:
+        with pytest.raises(RejectedPairError):
+            _walk([pair])
+    carries = _walk([(4.0, 2.0)]).carries.carries
+    assert carries == (0, 0) and all(type(c) is int for c in carries)
+    for pair in [(0, 10), (0, -5)]:
+        with pytest.raises(ValueError, match="is not made of base-10 digits"):
+            _walk([pair])
+    with pytest.raises(NotAnLWalkError, match=r"^walk starts at carry 1, not 0$"):
+        _walk([(1, 0)])
+    with pytest.raises(
+        NotAnLWalkError,
+        match=r"^pair \(7,3\) at position 1 needs carry 1 but the walk is at 0$",
+    ):
+        _walk([(8, 4), (7, 3)])
 
 
 def test_string_witnesses_equal_validated_witnesses():
