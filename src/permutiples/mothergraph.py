@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from ._digraph import elementary_cycles, short_cycles
+from ._digraph import elementary_cycles
 from .digits import Params, PermutipleWitness
 
 __all__ = [
@@ -129,6 +129,14 @@ class MotherGraph(DigitGraph):
         if len(self.edges) != self.params.n * self.params.b:
             raise ValueError(f"mother graph for {self.params} must hold every allowed pair")
 
+    @classmethod
+    def _trusted(cls, p: Params, edges: tuple[DigitPair, ...]) -> "MotherGraph":
+        # Internal: every allowed pair, each once, already sorted.
+        g = object.__new__(cls)
+        object.__setattr__(g, "params", p)
+        object.__setattr__(g, "edges", edges)
+        return g
+
 
 @dataclass(frozen=True)
 class ClassGraph(DigitGraph):
@@ -138,7 +146,7 @@ class ClassGraph(DigitGraph):
 def build_mother_graph(p: Params) -> MotherGraph:
     """Every allowed digit pair for (n, b), in lexicographic order."""
     pairs = (DigitPair(d1, d2) for c1 in range(p.n) for d2, d1, _ in _carry_row(p, c1))
-    return MotherGraph(p, tuple(pairs))
+    return MotherGraph._trusted(p, tuple(sorted(pairs)))
 
 
 def graph_of_witness(w: PermutipleWitness) -> ClassGraph:
@@ -215,12 +223,11 @@ def enumerate_cycles(
 
     The position of a cycle in the returned tuple is its canonical index,
     the stable handle everything else uses to name cycles of g.  Works for
-    the mother graph and for class graphs alike.  Raises CapExceededError
-    when more than max_cycles cycles exist.
+    the mother graph and for class graphs alike.  It is the bounded search
+    of _short_cycles at length b, which no elementary cycle on b vertices
+    exceeds.  Raises CapExceededError when more than max_cycles cycles exist.
     """
-    if max_cycles < 1:
-        raise ValueError(f"max_cycles must be positive, got {max_cycles}")
-    return _canonical(g, elementary_cycles(g.vertices, g.successors(), limit=max_cycles))
+    return _short_cycles(g, len(g.vertices), max_cycles)
 
 
 def _short_cycles(
@@ -234,10 +241,7 @@ def _short_cycles(
     """
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be positive, got {max_cycles}")
-    return _canonical(g, short_cycles(g.vertices, g.successors(), length, limit=max_cycles))
-
-
-def _canonical(g: DigitGraph, raw: list[list[int]]) -> tuple[Cycle, ...]:
+    raw = elementary_cycles(g.vertices, g.successors(), length, max_cycles)
     # Each vertex list is elementary and starts at its smallest vertex; a plain
     # (d1, d2) tuple hashes and compares equal to the graph's own DigitPair.
     edge = {e: e for e in g.edges}

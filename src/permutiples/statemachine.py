@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .digits import CarrySeq, DigitVec, Params, PermutipleWitness, find_permutation
+from .digits import CarrySeq, DigitVec, Params, PermutipleWitness, _integral, find_permutation
 from .errors import NotAnLWalkError, RejectedPairError, UnknownCycleIndexError
 from .mothergraph import (
     DEFAULT_MAX_CYCLES,
@@ -206,14 +206,23 @@ def _join_images(
     return HSMultigraph._trusted(p, tuple(sorted(e for i, m in counts for e in images[i] * m)))
 
 
+def _exact(d):
+    # As DigitVec stores its digits.
+    return int(d) if type(d) is not int and _integral(d) else d
+
+
 @dataclass(frozen=True)
 class PermutipleString:
-    """A digit-pair string, least significant position first."""
+    """A digit-pair string, least significant position first.
+
+    Integral float digits are stored as ints; other values are kept as
+    given, and string_to_witness rejects them.
+    """
 
     pairs: tuple[DigitPair, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(DigitPair(*e) for e in self.pairs)
+        canon = tuple(DigitPair(*map(_exact, e)) for e in self.pairs)
         object.__setattr__(self, "pairs", canon)
         if not canon:
             raise ValueError("a pair string holds at least one pair")

@@ -603,15 +603,16 @@ def test_equiv_caps_the_cycles_that_fit(capsys):
 
 def test_equiv_on_a_huge_base_searches_to_the_length(capsys):
     # 1 100 start vertices, each searched two edges deep, not down the
-    # hundreds-deep paths Johnson's search follows on (2, 1100)
+    # hundreds-deep paths the whole inventory of (2, 1100) follows
     code, out, err = run(capsys, "equiv", "--n", "2", "--b", "1100", "--len", "2")
     assert (code, err) == (EXIT_OK, "")
     assert out.splitlines()[0] == "equivalence for (n=2, b=1100), length 2: MATCH"
 
 
 def test_cycles_on_deep_paths_stop_at_the_cap():
-    # The cycle search of (2, 1100) follows paths hundreds of vertices deep
-    # before it passes the 10 000-cycle cap; it must stop there, not recurse.
+    # The cycle search of (2, 1100), bounded at b = 1 100 edges, follows paths
+    # hundreds of vertices deep before it passes the 10 000-cycle cap; it
+    # must stop there, not recurse.
     proc = run_module("cycles", "--n", "2", "--b", "1100")
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert proc.stdout == ""

@@ -21,6 +21,7 @@ from permutiples import (
     graph_to_dot,
     is_in_class,
 )
+from permutiples import mothergraph
 from permutiples.mothergraph import _short_cycles
 
 P24 = Params(2, 4)
@@ -87,6 +88,22 @@ def test_mother_graph_edges_sorted_and_allowed():
         g = build_mother_graph(p)
         assert list(g.edges) == sorted(g.edges)
         assert all(edge_allowed(e, p) for e in g.edges)
+
+
+def test_mother_graph_is_built_without_rechecking(monkeypatch):
+    # The built pairs skip the public constructor's sort and residue check,
+    # and still make the graph that constructor makes.
+    for b in range(3, 12):
+        for n in range(2, b):
+            p = Params(n, b)
+            g = build_mother_graph(p)
+            assert type(g) is MotherGraph and g == MotherGraph(p, g.edges)
+
+    def no_check(pair, p):
+        raise AssertionError(f"build_mother_graph re-checked {pair}")
+
+    monkeypatch.setattr(mothergraph, "edge_allowed", no_check)
+    assert len(build_mother_graph(P410).edges) == 40
 
 
 def test_mother_graph_constructor_rejects_incomplete_edge_set():
@@ -243,6 +260,19 @@ def test_cycle_cap_raises():
         enumerate_cycles(build_mother_graph(P24), max_cycles=2)
     with pytest.raises(ValueError):
         enumerate_cycles(build_mother_graph(P24), max_cycles=0)
+    g = build_mother_graph(P410)
+    with pytest.raises(CapExceededError, match="^more than 985 elementary cycles$"):
+        enumerate_cycles(g, max_cycles=985)
+    assert len(enumerate_cycles(g, max_cycles=986)) == 986
+
+
+@pytest.mark.parametrize(
+    "n,b,count",
+    [(5, 10, 5842), (6, 10, 9935), (7, 10, 51999), (4, 11, 2117), (2, 32, 30176)],
+)
+def test_full_inventory_counts(n, b, count):
+    # Counts found by Johnson's blocked search, which the bounded walk replaced.
+    assert len(enumerate_cycles(build_mother_graph(Params(n, b)), max_cycles=count)) == count
 
 
 @pytest.mark.parametrize(
@@ -251,13 +281,15 @@ def test_cycle_cap_raises():
     + [(n, b, range(1, b + 2)) for n, b in [(4, 10), (3, 7), (4, 11)]],
 )
 def test_short_cycles_are_the_inventory_prefix(n, b, lengths):
-    # Johnson's whole inventory, sliced at the length, is the bounded
-    # search's slow twin: same cycles, same indices, the graph's own pairs.
+    # The brute-force path search, in canonical order, is the bounded
+    # search's slow twin: the whole inventory and its prefix at each length
+    # hold the same cycles at the same indices, made of the graph's own pairs.
     g = build_mother_graph(Params(n, b))
-    inv = enumerate_cycles(g)
+    slow = sorted(brute_force_cycles(g), key=lambda edges: (len(edges), edges))
+    assert [c.edges for c in enumerate_cycles(g)] == slow
     for length in lengths:
         short = _short_cycles(g, length)
-        assert short == inv[: bisect_right(inv, length, key=len)], length
+        assert [c.edges for c in short] == slow[: bisect_right(slow, length, key=len)], length
         assert all(type(e) is DigitPair for c in short for e in c.edges)
 
 

@@ -378,6 +378,14 @@ def test_string_replay_edge_pairs():
         _walk([(8, 4), (7, 3)])
 
 
+def test_string_stores_integral_float_digits_as_ints():
+    p = Params(2, 10)
+    for pairs, shown in [(((2.0, 6.0), (1, 0)), "(1,2)_10"), (((2.0, 1), (0, 0)), "(0,2)_10")]:
+        w = string_to_witness(PermutipleString(pairs), p)
+        assert str(w.digits) == shown
+        assert all(type(d) is int for d in w.digits.digits + w.permuted.digits)
+
+
 def test_string_witnesses_equal_validated_witnesses():
     # criterion 4's tables: every string of these (2, 4) unions, built once
     # through the trusted witness and once through the public constructors
