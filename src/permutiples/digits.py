@@ -35,6 +35,42 @@ def _integral(x) -> bool:
     return x % 1 == 0
 
 
+def _ints(values, what: str, bound=None, where: str = "") -> tuple[int, ...]:
+    """values as a tuple, checked in turn and with integral floats stored as ints.
+
+    Each value must lie in 0..bound-1 when a bound is given, checked
+    first, and be integral; a failure raises ValueError naming the value
+    as `what`, with `where` after the range error.
+    """
+    values = tuple(values)
+    exact = True
+    for v in values:
+        if bound is not None and not 0 <= v < bound:
+            raise ValueError(f"{what} {v} out of range{where}")
+        if type(v) is not int:
+            if not _integral(v):
+                raise ValueError(f"{what} {v} is not an integer")
+            exact = False
+    return values if exact else tuple(map(int, values))
+
+
+def _exact(d):
+    # One value as _ints stores it; a non-integral value is kept for its
+    # caller's own check to reject.
+    return int(d) if type(d) is not int and _integral(d) else d
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, unchecked.
+
+    For data the package built itself: __post_init__ does not run, so the
+    caller vouches for every field, and passes each one by name.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 # Python prints any int below 10**640 whatever its int-to-str limit, since
 # no limit may be set lower; messages name a longer int by its digit count,
 # so a huge base still fails with the error meant for it.
@@ -89,23 +125,8 @@ class DigitVec:
             raise ValueError(f"base must be at least 2, got {self.base}")
         if not digits:
             raise ValueError("digit vector must hold at least one digit")
-        exact = True
-        for d in digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
-            if type(d) is not int:
-                if not _integral(d):
-                    raise ValueError(f"digit {d} is not an integer")
-                exact = False
-        object.__setattr__(self, "digits", digits if exact else tuple(map(int, digits)))
-
-    @classmethod
-    def _trusted(cls, digits: tuple[int, ...], base: int) -> "DigitVec":
-        # Internal: digits the caller has already checked against base.
-        v = object.__new__(cls)
-        object.__setattr__(v, "digits", digits)
-        object.__setattr__(v, "base", base)
-        return v
+        digits = _ints(digits, "digit", self.base, f" for base {self.base}")
+        object.__setattr__(self, "digits", digits)
 
     @classmethod
     def from_msd(cls, digits: Sequence[int], base: int) -> "DigitVec":
@@ -136,20 +157,7 @@ class CarrySeq:
             raise ValueError("carry sequence must not be empty")
         if carries[0] != 0:
             raise ValueError(f"initial carry must be 0, got {carries[0]}")
-        exact = True
-        for c in carries:
-            if type(c) is not int:
-                if not _integral(c):
-                    raise ValueError(f"carry {c} is not an integer")
-                exact = False
-        object.__setattr__(self, "carries", carries if exact else tuple(map(int, carries)))
-
-    @classmethod
-    def _trusted(cls, carries: tuple[int, ...]) -> "CarrySeq":
-        # Internal: carries the caller has already replayed from 0.
-        c = object.__new__(cls)
-        object.__setattr__(c, "carries", carries)
-        return c
+        object.__setattr__(self, "carries", _ints(carries, "carry"))
 
     @property
     def final(self) -> int:
@@ -194,7 +202,7 @@ class PermutipleWitness:
     floats stored as ints); whether the claim actually holds is the job of
     verify_witness, which reports rather than raises.
     The package's own builders, which assemble the parts together, skip the
-    shape check through _trusted.
+    shape check through digits._trusted.
     """
 
     params: Params
@@ -216,34 +224,7 @@ class PermutipleWitness:
         if self.sigma is not None:
             if len(self.sigma) != ell:
                 raise ValueError("sigma must assign every digit position")
-            exact = True
-            for i in self.sigma:
-                if not 0 <= i < ell:
-                    raise ValueError(f"sigma index {i} out of range")
-                if type(i) is not int:
-                    if not _integral(i):
-                        raise ValueError(f"sigma index {i} is not an integer")
-                    exact = False
-            if not exact:
-                object.__setattr__(self, "sigma", tuple(map(int, self.sigma)))
-
-    @classmethod
-    def _trusted(
-        cls,
-        params: Params,
-        digits: DigitVec,
-        permuted: DigitVec,
-        carries: CarrySeq,
-        sigma: Optional[tuple[int, ...]],
-    ) -> "PermutipleWitness":
-        # Internal: parts built together, already of matching shape.
-        w = object.__new__(cls)
-        object.__setattr__(w, "params", params)
-        object.__setattr__(w, "digits", digits)
-        object.__setattr__(w, "permuted", permuted)
-        object.__setattr__(w, "carries", carries)
-        object.__setattr__(w, "sigma", sigma)
-        return w
+            object.__setattr__(self, "sigma", _ints(self.sigma, "sigma index", ell))
 
     @classmethod
     def build(

@@ -17,6 +17,7 @@ from math import factorial
 from typing import Iterator, NamedTuple, Optional
 
 from ._digraph import strongly_connected_components
+from .digits import _trusted
 from .errors import CapExceededError
 from .statemachine import HSMultigraph, LabeledMultiedge, PermutipleString
 
@@ -194,7 +195,7 @@ def enumerate_strings(
         return ()
     groups = _rows(g.multiedges)
     return tuple(
-        PermutipleString._trusted(labels)
+        _trusted(PermutipleString, pairs=labels)
         for labels in _circuits(groups, groups[0], len(g.multiedges))
         if not (forbid_zero and labels[-1].d1 == 0)
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from ._digraph import elementary_cycles
-from .digits import Params, PermutipleWitness
+from .digits import Params, PermutipleWitness, _exact, _trusted
 
 __all__ = [
     "DigitPair",
@@ -94,7 +94,7 @@ class DigitGraph:
     edges: tuple[DigitPair, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted({DigitPair(*e) for e in self.edges}))
+        canon = tuple(sorted({DigitPair(*map(_exact, e)) for e in self.edges}))
         object.__setattr__(self, "edges", canon)
         for e in canon:
             if not edge_allowed(e, self.params):
@@ -129,14 +129,6 @@ class MotherGraph(DigitGraph):
         if len(self.edges) != self.params.n * self.params.b:
             raise ValueError(f"mother graph for {self.params} must hold every allowed pair")
 
-    @classmethod
-    def _trusted(cls, p: Params, edges: tuple[DigitPair, ...]) -> "MotherGraph":
-        # Internal: every allowed pair, each once, already sorted.
-        g = object.__new__(cls)
-        object.__setattr__(g, "params", p)
-        object.__setattr__(g, "edges", edges)
-        return g
-
 
 @dataclass(frozen=True)
 class ClassGraph(DigitGraph):
@@ -146,7 +138,7 @@ class ClassGraph(DigitGraph):
 def build_mother_graph(p: Params) -> MotherGraph:
     """Every allowed digit pair for (n, b), in lexicographic order."""
     pairs = (DigitPair(d1, d2) for c1 in range(p.n) for d2, d1, _ in _carry_row(p, c1))
-    return MotherGraph._trusted(p, tuple(sorted(pairs)))
+    return _trusted(MotherGraph, params=p, edges=tuple(sorted(pairs)))
 
 
 def graph_of_witness(w: PermutipleWitness) -> ClassGraph:
@@ -170,13 +162,13 @@ class Cycle:
     edges are incident, wrapping around at the end; no vertex repeats.  The
     rotation starting at the smallest vertex is the canonical form, so equal
     cycles compare equal no matter how they were traversed.  enumerate_cycles
-    builds its cycles through _trusted, which skips these checks.
+    builds its cycles through digits._trusted, which skips these checks.
     """
 
     edges: tuple[DigitPair, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(DigitPair(*e) for e in self.edges)
+        canon = tuple(DigitPair(*map(_exact, e)) for e in self.edges)
         object.__setattr__(self, "edges", canon)
         if not canon:
             raise ValueError("a cycle has at least one edge")
@@ -189,13 +181,6 @@ class Cycle:
             raise ValueError("cycle visits a vertex twice")
         if canon[0].d1 != min(verts):
             raise ValueError("cycle must start at its smallest vertex")
-
-    @classmethod
-    def _trusted(cls, edges: tuple[DigitPair, ...]) -> "Cycle":
-        # Internal: chained, vertex-distinct edges from the smallest vertex.
-        c = object.__new__(cls)
-        object.__setattr__(c, "edges", edges)
-        return c
 
     @classmethod
     def from_vertices(cls, vs: Sequence[int]) -> "Cycle":
@@ -247,7 +232,7 @@ def _short_cycles(
     edge = {e: e for e in g.edges}
     cycles = [tuple(map(edge.__getitem__, zip(vs, vs[1:] + vs[:1]))) for vs in raw]
     cycles.sort(key=lambda edges: (len(edges), edges))
-    return tuple(map(Cycle._trusted, cycles))
+    return tuple([_trusted(Cycle, edges=edges) for edges in cycles])
 
 
 def graph_to_dot(

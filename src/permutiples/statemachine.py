@@ -19,7 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .digits import CarrySeq, DigitVec, Params, PermutipleWitness, _integral, find_permutation
+from .digits import CarrySeq, DigitVec, Params, PermutipleWitness, find_permutation
+from .digits import _exact, _ints, _trusted
 from .errors import NotAnLWalkError, RejectedPairError, UnknownCycleIndexError
 from .mothergraph import (
     DEFAULT_MAX_CYCLES,
@@ -79,28 +80,24 @@ class HSMultigraph:
     carries the same labeled transition more than once.  Every entry must
     be the carry step its label induces, by the rule transition() solves;
     non-digit labels, rejected pairs and wrong carries raise ValueError.
-    This module's own builders skip the check through _trusted.
+    Integral float labels and carries are stored as ints.  This module's
+    own builders skip the check through digits._trusted.
     """
 
     params: Params
     multiedges: tuple[LabeledMultiedge, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(
-            sorted(LabeledMultiedge(c1, c2, DigitPair(*lbl)) for c1, c2, lbl in self.multiedges)
+        canon = sorted(
+            LabeledMultiedge(c1, c2, DigitPair(*map(_exact, lbl)))
+            for c1, c2, lbl in self.multiedges
         )
-        object.__setattr__(self, "multiedges", canon)
-        for e in canon:
-            if _step(e.label, self.params) != (e.c1, e.c2):
+        for i, e in enumerate(canon):
+            step = _step(e.label, self.params)
+            if step != (e.c1, e.c2):
                 raise ValueError(f"multiedge {e} is not the carry step of its label")
-
-    @classmethod
-    def _trusted(cls, p: Params, multiedges: tuple[LabeledMultiedge, ...]) -> "HSMultigraph":
-        # Internal: multiedges already sorted and already known to be valid.
-        g = object.__new__(cls)
-        object.__setattr__(g, "params", p)
-        object.__setattr__(g, "multiedges", multiedges)
-        return g
+            canon[i] = LabeledMultiedge(*step, e.label)
+        object.__setattr__(self, "multiedges", tuple(canon))
 
     def active_states(self) -> tuple[int, ...]:
         """States with at least one incident multiedge, ascending."""
@@ -117,7 +114,8 @@ class HSMultigraph:
         """Multiset union: multiplicities add."""
         if self.params != other.params:
             raise ValueError("cannot union multigraphs over different parameters")
-        return HSMultigraph._trusted(self.params, tuple(sorted(self.multiedges + other.multiedges)))
+        edges = tuple(sorted(self.multiedges + other.multiedges))
+        return _trusted(HSMultigraph, params=self.params, multiedges=edges)
 
     def __len__(self) -> int:
         return len(self.multiedges)
@@ -127,13 +125,13 @@ def build_hs_multigraph(p: Params) -> HSMultigraph:
     """The full carry machine: one multiedge per mother-graph edge."""
     steps = ((c1, *step) for c1 in range(p.n) for step in _carry_row(p, c1))
     edges = sorted(LabeledMultiedge(c1, c2, DigitPair(d1, d2)) for c1, d2, d1, c2 in steps)
-    return HSMultigraph._trusted(p, tuple(edges))
+    return _trusted(HSMultigraph, params=p, multiedges=tuple(edges))
 
 
 def cycle_multi_image(cycle: Cycle, p: Params) -> HSMultigraph:
     """The sub-multigraph the carry machine assigns to one digit cycle."""
     edges = sorted(LabeledMultiedge(*transition(pair, p), pair) for pair in cycle.edges)
-    return HSMultigraph._trusted(p, tuple(edges))
+    return _trusted(HSMultigraph, params=p, multiedges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,9 @@ class CycleMultiset:
     counts: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted((int(i), int(m)) for i, m in self.counts))
+        counts = tuple(self.counts)
+        indices = _ints((i for i, _ in counts), "cycle index")
+        canon = tuple(sorted(zip(indices, _ints((m for _, m in counts), "multiplicity"))))
         object.__setattr__(self, "counts", canon)
         seen = set()
         for i, m in canon:
@@ -158,7 +158,7 @@ class CycleMultiset:
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "CycleMultiset":
         """Multiset from a plain list of indices, repetition = multiplicity."""
-        return cls(tuple(Counter(int(i) for i in indices).items()))
+        return cls(tuple(Counter(_ints(indices, "cycle index")).items()))
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return self.counts
@@ -203,12 +203,8 @@ def _join_images(
     counts: Iterable[tuple[int, int]],
 ) -> HSMultigraph:
     """The union that takes images[i] mult times for each (i, mult) of counts."""
-    return HSMultigraph._trusted(p, tuple(sorted(e for i, m in counts for e in images[i] * m)))
-
-
-def _exact(d):
-    # As DigitVec stores its digits.
-    return int(d) if type(d) is not int and _integral(d) else d
+    edges = tuple(sorted(e for i, m in counts for e in images[i] * m))
+    return _trusted(HSMultigraph, params=p, multiedges=edges)
 
 
 @dataclass(frozen=True)
@@ -226,13 +222,6 @@ class PermutipleString:
         object.__setattr__(self, "pairs", canon)
         if not canon:
             raise ValueError("a pair string holds at least one pair")
-
-    @classmethod
-    def _trusted(cls, pairs: tuple[DigitPair, ...]) -> "PermutipleString":
-        # Internal: labels read off an HSMultigraph, already DigitPairs.
-        s = object.__new__(cls)
-        object.__setattr__(s, "pairs", pairs)
-        return s
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -278,10 +267,15 @@ def string_to_witness(s: PermutipleString, p: Params) -> PermutipleWitness:
     if state != 0:
         raise NotAnLWalkError(f"walk ends at carry {state}, not 0")
     products, multiplicands = zip(*s.pairs)
-    digits = DigitVec._trusted(products, p.b)
-    permuted = DigitVec._trusted(multiplicands, p.b)
-    return PermutipleWitness._trusted(
-        p, digits, permuted, CarrySeq._trusted(tuple(carries)), find_permutation(digits, permuted)
+    digits = _trusted(DigitVec, digits=products, base=b)
+    permuted = _trusted(DigitVec, digits=multiplicands, base=b)
+    return _trusted(
+        PermutipleWitness,
+        params=p,
+        digits=digits,
+        permuted=permuted,
+        carries=_trusted(CarrySeq, carries=tuple(carries)),
+        sigma=find_permutation(digits, permuted),
     )
 
 

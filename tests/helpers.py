@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from itertools import combinations, permutations
 
 from permutiples import (
     DigitPair,
@@ -118,6 +119,21 @@ def reference_carry_step(d1, d2, p):
     allowed = (d1 - n * d2) % b <= n - 1
     assert len(steps) == (1 if allowed else 0), (d1, d2, p, steps)
     return steps[0] if allowed else None
+
+
+def permutation_det(m):
+    """Determinant of a square int matrix by the Leibniz sum over permutations.
+
+    Independent of the package's elimination; exponential, fine up to 6x6.
+    """
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(m)), 2))
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
 
 
 def reference_strings(g, forbid_zero=False):

@@ -10,7 +10,7 @@ from helpers import reference_search_output
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutiples import Params, brute_force_search, cli, value
+from permutiples import Params, brute_force_search, cli, oracle, value
 from permutiples.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
@@ -459,6 +459,41 @@ def test_budget_past_its_bit_length_fails_at_once(capsys):
     assert err == "error: scanning 100000 base-10 digits needs 10**100000 candidates, " \
                   "budget is 10000000\n"
     assert len(err) < 200
+
+
+def test_equiv_reports_a_mismatch(capsys, monkeypatch):
+    # A scan that loses its first hit of (2,4,4) disagrees with the pipeline;
+    # one with an extra hit disagrees the other way.  The exit code stays 0.
+    real = oracle._scan_hits
+
+    def drop_first(p, length):
+        hits = real(p, length)
+        next(hits)
+        yield from hits
+
+    def add_seven(p, length):
+        yield from real(p, length)
+        yield 7, 0
+
+    argv = ("equiv", "--n", "2", "--b", "4", "--len", "4")
+    monkeypatch.setattr(oracle, "_scan_hits", drop_first)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "equivalence for (n=2, b=4), length 4: MISMATCH\n"
+        "  pipeline: 13 values\n"
+        "  scan:     12 values\n"
+        "  only pipeline: 66\n"
+    )
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    report = json.loads(out)
+    assert code == EXIT_OK
+    assert (report["match"], report["only_pipeline"], report["only_brute"]) == (False, [66], [])
+    monkeypatch.setattr(oracle, "_scan_hits", add_seven)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[0].endswith("MISMATCH")
+    assert out.splitlines()[-1] == "  only scan:     7"
 
 
 def test_equiv_checks_the_scan_budget_first(capsys, monkeypatch):

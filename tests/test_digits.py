@@ -85,6 +85,51 @@ def test_integral_float_sigma_is_stored_as_ints():
         PermutipleWitness.build(p, digits, permuted, sigma=(1.5, 2, 0))
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: DigitVec((1, 5), 4), "digit 5 out of range for base 4"),
+        (lambda: DigitVec((1, 0.5), 4), "digit 0.5 is not an integer"),
+        (lambda: CarrySeq((0, 0.75)), "carry 0.75 is not an integer"),
+        (lambda: _shaped(sigma=(0, 7, 1)), "sigma index 7 out of range"),
+        (lambda: _shaped(sigma=(0, 1.5, 1)), "sigma index 1.5 is not an integer"),
+    ],
+)
+def test_integer_rule_names_the_value(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def _shaped(digits=(1, 0, 2), permuted=(0, 2, 1), base=4, sigma=None):
+    # Shape only: the constructor checks shape, verify_witness the claim.
+    return PermutipleWitness(Params(2, 4), DigitVec(digits, 4), DigitVec(permuted, base),
+                             CarrySeq((0,) * (len(digits) + 1)), sigma)
+
+
+def test_witness_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="^digit vectors must use base b of the parameters$"):
+        _shaped(base=5)
+    with pytest.raises(ValueError, match="^sigma must assign every digit position$"):
+        _shaped(sigma=(1, 2))
+    with pytest.raises(ValueError, match="^digits and permuted must have the same length$"):
+        _shaped(permuted=(0, 2))
+    assert _shaped(sigma=(1.0, 2, 0)).sigma == (1, 2, 0)
+
+
+def test_digits_of_rejects_bad_arguments():
+    for args, message in [
+        ((-1, 10, 2), "m must be non-negative, got -1"),
+        ((5, 10, 0), "width must be at least 1, got 0"),
+        ((5, 1, 2), "base must be at least 2, got 1"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            digits_of(*args)
+        assert str(info.value) == message
+    with pytest.raises(OverflowError, match="^100 does not fit in 2 base-10 digits$"):
+        digits_of(100, 10, 2)
+
+
 def test_value_examples():
     assert value(DigitVec.from_msd([8, 7, 9, 1, 2], 10)) == 87912
     assert value(DigitVec.from_msd([1, 0, 2], 4)) == 18

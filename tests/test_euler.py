@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import cycle_index
+from helpers import cycle_index, permutation_det
 from permutiples import (
     CapExceededError,
     CycleMultiset,
@@ -307,3 +309,26 @@ def test_count_alone_decides_acceptance(monkeypatch):
     rep = equivalence_check(P24, 6)
     assert rep.match and rep.pipeline_values
     assert rep.pipeline_values == tuple(value(w.digits) for w in brute_force_search(P24, 6))
+
+
+def _zero_diagonal(rows):
+    return [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5)
+    .flatmap(lambda k: st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                                min_size=k, max_size=k))
+    .map(_zero_diagonal)
+)
+def test_int_det_swaps_rows_past_a_zero_pivot(m):
+    # A zero diagonal makes every elimination step look below its pivot.
+    assert euler._int_det(m) == permutation_det(m)
+
+
+def test_int_det_examples():
+    assert euler._int_det([[0, 1], [1, 0]]) == -1
+    assert euler._int_det([[0, 2, 1], [3, 0, 0], [0, 1, 4]]) == -21
+    assert euler._int_det([[0, 1], [0, 1]]) == 0
+    assert euler._int_det([]) == 1

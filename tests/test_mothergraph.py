@@ -183,6 +183,28 @@ def test_cycle_rejects_malformed_input():
         Cycle(())
 
 
+def test_cycle_rejects_a_repeated_vertex():
+    with pytest.raises(ValueError, match="^cycle visits a vertex twice$"):
+        Cycle(((0, 1), (1, 0), (0, 1), (1, 0)))
+
+
+def test_integral_float_digits_are_stored_as_ints():
+    c = Cycle(((1.0, 2), (2, 1)))
+    assert str(c) == "(1,2)(2,1)"
+    assert Cycle.from_vertices([2, 1.0]) == c
+    g = ClassGraph(P24, [(1.0, 2), (1, 2)])
+    assert g.edges == (DigitPair(1, 2),)
+    mother = MotherGraph(P24, [(float(d1), d2) for d1, d2 in build_mother_graph(P24).edges])
+    assert mother == build_mother_graph(P24)
+    for edges in (c.edges, g.edges, mother.edges):
+        assert all(type(d) is int for e in edges for d in e)
+    # non-integral values still meet the checks they met before
+    with pytest.raises(ValueError, match=r"^edge \(1.5,2\) violates the residue inequality"):
+        ClassGraph(P24, [(1.5, 2)])
+    with pytest.raises(ValueError, match=r"do not chain$"):
+        Cycle(((1.5, 2), (2, 1)))
+
+
 def test_cycle_inventory_two_four():
     inv = enumerate_cycles(build_mother_graph(P24))
     assert [tuple(map(tuple, c.edges)) for c in inv] == [

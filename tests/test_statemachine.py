@@ -301,7 +301,49 @@ def test_cycle_multiset_validation():
         CycleMultiset(((1, 1), (1, 2)))
 
 
+def test_cycle_multiset_rejects_fractions():
+    for counts, message in [
+        (((0, 1.5),), "multiplicity 1.5 is not an integer"),
+        (((0.5, 1),), "cycle index 0.5 is not an integer"),
+        (((-1, 1),), "cycle index -1 is negative"),
+        (((1, 0),), "multiplicity for cycle 1 must be positive, got 0"),
+        (((1, 1), (1.0, 2)), "cycle index 1 listed twice"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            CycleMultiset(counts)
+        assert str(info.value) == message
+    for indices, message in [
+        ([0.5, 1.9], "cycle index 0.5 is not an integer"),
+        ([float("nan")], "cycle index nan is not an integer"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            CycleMultiset.from_indices(indices)
+        assert str(info.value) == message
+    # integral floats count as the ints they equal
+    for ms in (CycleMultiset(((2.0, 3.0), (0, 1))), CycleMultiset.from_indices([2, 0, 2.0, 2])):
+        assert ms.counts == ((0, 1), (2, 3))
+        assert all(type(x) is int for pair in ms.counts for x in pair)
+
+
+def test_multigraph_stores_int_labels_and_carries():
+    g = HSMultigraph(P24, [(0.0, 0, (0, 0)), (0, 0, (0.0, 0.0))])
+    assert g.multiedges == (LabeledMultiedge(0, 0, DigitPair(0, 0)),) * 2
+    assert all(type(x) is int for e in g.multiedges for x in (e.c1, e.c2, *e.label))
+    # a public cycle with a float digit yields int witness digits
+    inv = [Cycle(((1.0, 2), (2, 1))), Cycle(((0, 2), (2, 1), (1, 0)))]
+    u = union_images(CycleMultiset.from_indices([0, 1]), P24, inv)
+    w = string_to_witness(enumerate_strings(u)[0], P24)
+    assert str(w.digits) == "(1,1,0,2,2)_4"
+    assert all(type(d) is int for d in w.digits.digits + w.permuted.digits)
+
+
 # === strings ===
+
+
+def test_empty_string_is_rejected():
+    with pytest.raises(ValueError, match="^a pair string holds at least one pair$"):
+        PermutipleString(())
+
 
 
 def test_string_to_witness_long_example():
