@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
@@ -320,7 +321,8 @@ def _handle_verify(args) -> str:
     report = verify_witness(w)
     # The report holds only bools: a shallow read of its fields, in field
     # order, and no deep copy.
-    flags = {**vars(report), "is_permutiple": report.is_permutiple}
+    flags = {f.name: getattr(report, f.name) for f in fields(report)}
+    flags["is_permutiple"] = report.is_permutiple
     if args.format == "json":
         return _json({"params": _params_payload(p), **_witness_payload(w), **flags})
     return "\n".join([f"claim: {w}", *_flag_rows(flags)]) + "\n"

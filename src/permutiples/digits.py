@@ -10,7 +10,9 @@ notation.  Everything is plain Python integers, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
+from numbers import Number
 from typing import Iterable, Optional, Sequence
 
 from .errors import DigitAlignmentError
@@ -35,40 +37,61 @@ def _integral(x) -> bool:
     return x % 1 == 0
 
 
+def _number(x, what: str) -> None:
+    # A value that is not a number has no range or integrality to check,
+    # and is named as given.
+    if not isinstance(x, Number):
+        raise ValueError(f"{what} {x!r} is not a number")
+
+
 def _ints(values, what: str, bound=None, where: str = "") -> tuple[int, ...]:
     """values as a tuple, checked in turn and with integral floats stored as ints.
 
-    Each value must lie in 0..bound-1 when a bound is given, checked
-    first, and be integral; a failure raises ValueError naming the value
-    as `what`, with `where` after the range error.
+    Each value must be a number, then lie in 0..bound-1 when a bound is
+    given, then be integral; the first failure raises ValueError naming the
+    value as `what`, with `where` after the range error.
     """
     values = tuple(values)
     exact = True
     for v in values:
+        if type(v) is not int:
+            _number(v, what)
+            exact = False
         if bound is not None and not 0 <= v < bound:
             raise ValueError(f"{what} {v} out of range{where}")
-        if type(v) is not int:
-            if not _integral(v):
-                raise ValueError(f"{what} {v} is not an integer")
-            exact = False
+        if type(v) is not int and not _integral(v):
+            raise ValueError(f"{what} {v} is not an integer")
     return values if exact else tuple(map(int, values))
 
 
 def _exact(d):
-    # One value as _ints stores it; a non-integral value is kept for its
-    # caller's own check to reject.
-    return int(d) if type(d) is not int and _integral(d) else d
+    # One pair digit as _ints stores it; a non-integral number is kept for
+    # its caller's own check to reject.
+    if type(d) is int:
+        return d
+    _number(d, "pair digit")
+    return int(d) if _integral(d) else d
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass cls holding fields, unchecked.
+@cache
+def _trusted(cls):
+    """The unchecked builder of the frozen, slotted dataclass cls.
 
-    For data the package built itself: __post_init__ does not run, so the
-    caller vouches for every field, and passes each one by name.
+    For data the package built itself: the builder takes every field by
+    keyword, with no defaults, and stores each through its slot, so
+    __post_init__ does not run and the caller vouches for every field.
+    Like the __init__ that dataclasses writes, it is compiled once per class.
     """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+    names = [f.name for f in fields(cls)]
+    scope = {"_new": object.__new__, "_cls": cls}
+    build = f"_trusted_{cls.__name__}"  # the name a TypeError at the call shows
+    lines = [f"def {build}(*, {', '.join(names)}):", "    _obj = _new(_cls)"]
+    for name in names:
+        scope[f"_set_{name}"] = getattr(cls, name).__set__  # the slot's descriptor
+        lines.append(f"    _set_{name}(_obj, {name})")
+    lines.append("    return _obj")
+    exec("\n".join(lines), scope)
+    return scope[build]
 
 
 # Python prints any int below 10**640 whatever its int-to-str limit, since
@@ -89,7 +112,7 @@ def _decimal(x: int, show=str) -> str:
     return f"<{k + 1} digits>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Params:
     """A multiplier/base pair (n, b) with 1 < n < b."""
 
@@ -112,7 +135,7 @@ class Params:
         return f"(n={_decimal(self.n)}, b={_decimal(self.b)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigitVec:
     """A digit vector in a fixed base, least-significant digit first."""
 
@@ -145,7 +168,7 @@ class DigitVec:
         return "(%s)_%d" % (",".join(str(d) for d in self.msd), self.base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CarrySeq:
     """Carries c_0 .. c_l of a single-digit multiplication; c_0 is always 0."""
 
@@ -170,7 +193,7 @@ class CarrySeq:
         return iter(self.carries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessReport:
     """Outcome of checking one claimed permutiple, flag by flag."""
 
@@ -193,7 +216,7 @@ class WitnessReport:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PermutipleWitness:
     """A claimed relation digits = n * permuted together with its carries.
 
@@ -202,7 +225,7 @@ class PermutipleWitness:
     floats stored as ints); whether the claim actually holds is the job of
     verify_witness, which reports rather than raises.
     The package's own builders, which assemble the parts together, skip the
-    shape check through digits._trusted.
+    shape check through digits._trusted(PermutipleWitness).
     """
 
     params: Params
@@ -336,7 +359,7 @@ def verify_witness(w: PermutipleWitness) -> WitnessReport:
         if b * c_next - c != n * q - d:
             carries_consistent = False
             break
-    return WitnessReport(
+    return _trusted(WitnessReport)(
         multisets_equal=sorted(ds) == sorted(qs),
         value_relation=value(w.digits) == n * value(w.permuted),
         carries_consistent=carries_consistent,

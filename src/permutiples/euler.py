@@ -40,7 +40,7 @@ FORBID_LEADING_ZERO = "forbid"
 DEFAULT_MAX_STRINGS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     """The three acceptance conditions for a carry-state multigraph.
 
@@ -60,7 +60,7 @@ class ConditionReport:
         return self.contains_zero and self.strongly_connected and self.balanced
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumerationOptions:
     """Knobs for circuit enumeration.
 
@@ -195,7 +195,7 @@ def enumerate_strings(
         return ()
     groups = _rows(g.multiedges)
     return tuple(
-        _trusted(PermutipleString, pairs=labels)
+        _trusted(PermutipleString)(pairs=labels)
         for labels in _circuits(groups, groups[0], len(g.multiedges))
         if not (forbid_zero and labels[-1].d1 == 0)
     )

@@ -86,7 +86,7 @@ def edge_allowed(pair: DigitPair | tuple[int, int], p: Params) -> bool:
     return _step(pair, p) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigitGraph:
     """A set of allowed digit pairs, viewed as a digraph on 0..b-1."""
 
@@ -119,18 +119,20 @@ class DigitGraph:
         return i < len(self.edges) and self.edges[i] == key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotherGraph(DigitGraph):
     """The full graph of allowed pairs; construction checks completeness."""
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        # Not zero-argument super(): slots=True makes a new class, which the
+        # compiled method's __class__ cell does not name.
+        DigitGraph.__post_init__(self)
         # The edges are distinct allowed pairs, and n*b pairs are allowed.
         if len(self.edges) != self.params.n * self.params.b:
             raise ValueError(f"mother graph for {self.params} must hold every allowed pair")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassGraph(DigitGraph):
     """The pairs some witness actually uses; any subgraph of allowed pairs."""
 
@@ -138,7 +140,7 @@ class ClassGraph(DigitGraph):
 def build_mother_graph(p: Params) -> MotherGraph:
     """Every allowed digit pair for (n, b), in lexicographic order."""
     pairs = (DigitPair(d1, d2) for c1 in range(p.n) for d2, d1, _ in _carry_row(p, c1))
-    return _trusted(MotherGraph, params=p, edges=tuple(sorted(pairs)))
+    return _trusted(MotherGraph)(params=p, edges=tuple(sorted(pairs)))
 
 
 def graph_of_witness(w: PermutipleWitness) -> ClassGraph:
@@ -154,7 +156,7 @@ def is_in_class(w: PermutipleWitness, g: DigitGraph) -> bool:
     return set(graph_of_witness(w).edges) <= set(g.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cycle:
     """An elementary directed cycle, stored from its smallest vertex.
 
@@ -162,7 +164,7 @@ class Cycle:
     edges are incident, wrapping around at the end; no vertex repeats.  The
     rotation starting at the smallest vertex is the canonical form, so equal
     cycles compare equal no matter how they were traversed.  enumerate_cycles
-    builds its cycles through digits._trusted, which skips these checks.
+    builds its cycles through digits._trusted(Cycle), which skips these checks.
     """
 
     edges: tuple[DigitPair, ...]
@@ -232,7 +234,7 @@ def _short_cycles(
     edge = {e: e for e in g.edges}
     cycles = [tuple(map(edge.__getitem__, zip(vs, vs[1:] + vs[:1]))) for vs in raw]
     cycles.sort(key=lambda edges: (len(edges), edges))
-    return tuple([_trusted(Cycle, edges=edges) for edges in cycles])
+    return tuple([_trusted(Cycle)(edges=edges) for edges in cycles])
 
 
 def graph_to_dot(

@@ -172,7 +172,7 @@ def palintiple_count(p: Params, length: int, max_scan: int = DEFAULT_MAX_SCAN) -
     return sum(count for (low, high), count in ways.items() if low == high)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalenceReport:
     """Agreement between the cycle-multiset pipeline and the direct scan."""
 

@@ -72,7 +72,7 @@ def transition(pair: DigitPair | tuple[int, int], p: Params) -> tuple[int, int]:
     return step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HSMultigraph:
     """Carry-state multigraph over the states 0..n-1.
 
@@ -81,7 +81,7 @@ class HSMultigraph:
     be the carry step its label induces, by the rule transition() solves;
     non-digit labels, rejected pairs and wrong carries raise ValueError.
     Integral float labels and carries are stored as ints.  This module's
-    own builders skip the check through digits._trusted.
+    own builders skip the check through digits._trusted(HSMultigraph).
     """
 
     params: Params
@@ -115,7 +115,7 @@ class HSMultigraph:
         if self.params != other.params:
             raise ValueError("cannot union multigraphs over different parameters")
         edges = tuple(sorted(self.multiedges + other.multiedges))
-        return _trusted(HSMultigraph, params=self.params, multiedges=edges)
+        return _trusted(HSMultigraph)(params=self.params, multiedges=edges)
 
     def __len__(self) -> int:
         return len(self.multiedges)
@@ -125,16 +125,16 @@ def build_hs_multigraph(p: Params) -> HSMultigraph:
     """The full carry machine: one multiedge per mother-graph edge."""
     steps = ((c1, *step) for c1 in range(p.n) for step in _carry_row(p, c1))
     edges = sorted(LabeledMultiedge(c1, c2, DigitPair(d1, d2)) for c1, d2, d1, c2 in steps)
-    return _trusted(HSMultigraph, params=p, multiedges=tuple(edges))
+    return _trusted(HSMultigraph)(params=p, multiedges=tuple(edges))
 
 
 def cycle_multi_image(cycle: Cycle, p: Params) -> HSMultigraph:
     """The sub-multigraph the carry machine assigns to one digit cycle."""
     edges = sorted(LabeledMultiedge(*transition(pair, p), pair) for pair in cycle.edges)
-    return _trusted(HSMultigraph, params=p, multiedges=tuple(edges))
+    return _trusted(HSMultigraph)(params=p, multiedges=tuple(edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleMultiset:
     """Multiplicities over canonical cycle indices of one inventory."""
 
@@ -204,10 +204,10 @@ def _join_images(
 ) -> HSMultigraph:
     """The union that takes images[i] mult times for each (i, mult) of counts."""
     edges = tuple(sorted(e for i, m in counts for e in images[i] * m))
-    return _trusted(HSMultigraph, params=p, multiedges=edges)
+    return _trusted(HSMultigraph)(params=p, multiedges=edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PermutipleString:
     """A digit-pair string, least significant position first.
 
@@ -267,14 +267,13 @@ def string_to_witness(s: PermutipleString, p: Params) -> PermutipleWitness:
     if state != 0:
         raise NotAnLWalkError(f"walk ends at carry {state}, not 0")
     products, multiplicands = zip(*s.pairs)
-    digits = _trusted(DigitVec, digits=products, base=b)
-    permuted = _trusted(DigitVec, digits=multiplicands, base=b)
-    return _trusted(
-        PermutipleWitness,
+    digits = _trusted(DigitVec)(digits=products, base=b)
+    permuted = _trusted(DigitVec)(digits=multiplicands, base=b)
+    return _trusted(PermutipleWitness)(
         params=p,
         digits=digits,
         permuted=permuted,
-        carries=_trusted(CarrySeq, carries=tuple(carries)),
+        carries=_trusted(CarrySeq)(carries=tuple(carries)),
         sigma=find_permutation(digits, permuted),
     )
 

@@ -3,9 +3,14 @@ from hypothesis import given, strategies as st
 
 from permutiples import (
     CarrySeq,
+    ClassGraph,
+    Cycle,
+    CycleMultiset,
     DigitAlignmentError,
     DigitVec,
+    HSMultigraph,
     Params,
+    PermutipleString,
     PermutipleWitness,
     carry_sequence,
     digits_of,
@@ -96,6 +101,29 @@ def test_integral_float_sigma_is_stored_as_ints():
     ],
 )
 def test_integer_rule_names_the_value(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: DigitVec(("a",), 10), "digit 'a' is not a number"),
+        (lambda: CarrySeq((0, "x")), "carry 'x' is not a number"),
+        (lambda: _shaped(sigma=(0, None, 1)), "sigma index None is not a number"),
+        (lambda: CycleMultiset((("1", 1),)), "cycle index '1' is not a number"),
+        (lambda: CycleMultiset(((0, "2"),)), "multiplicity '2' is not a number"),
+        (lambda: Cycle((("a", 1), (1, "a"))), "pair digit 'a' is not a number"),
+        (lambda: Cycle((("a", "b"), ("b", "a"))), "pair digit 'a' is not a number"),
+        (lambda: ClassGraph(Params(2, 4), [(0, "0")]), "pair digit '0' is not a number"),
+        (lambda: HSMultigraph(Params(2, 4), [(0, 0, ("0", 0))]), "pair digit '0' is not a number"),
+        (lambda: PermutipleString(((0, 0), (1, b"1"))), "pair digit b'1' is not a number"),
+    ],
+    ids=["DigitVec", "CarrySeq", "sigma", "index", "multiplicity", "Cycle", "Cycle-all-str",
+         "ClassGraph", "HSMultigraph", "PermutipleString"],
+)
+def test_constructors_name_a_value_that_is_not_a_number(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
