@@ -50,7 +50,6 @@ from .mothergraph import (
     enumerate_cycles,
     graph_of_witness,
     graph_to_dot,
-    is_in_class,
 )
 from .oracle import (
     EquivalenceReport,

@@ -71,6 +71,11 @@ class _Verbatim(str):
     """JSON text that _encode writes unquoted, as it stands."""
 
 
+class _Mismatch(str):
+    """equiv's output when the pipeline and the scan disagree: main prints
+    it as usual and exits EXIT_DOMAIN."""
+
+
 def _encode(obj, indent: str, out: list[str]) -> None:
     """Append obj's text, as json.dumps(obj, indent=2) writes it at nesting
     `indent`, to out in pieces.
@@ -317,7 +322,7 @@ def _handle_verify(args) -> str:
     p = _params(args)
     digits = DigitVec.from_msd(_parse_int_list(args.digits, "--digits"), p.b)
     permuted = DigitVec.from_msd(_parse_int_list(args.permuted, "--permuted"), p.b)
-    w = PermutipleWitness.build(p, digits, permuted, find_sigma=True)
+    w = PermutipleWitness.build(p, digits, permuted)
     report = verify_witness(w)
     # The report holds only bools: a shallow read of its fields, in field
     # order, and no deep copy.
@@ -406,8 +411,9 @@ def _handle_equiv(args) -> str:
         max_strings=args.max_strings,
         max_cycles=args.max_cycles,
     )
+    output = str if report.match else _Mismatch
     if args.format == "json":
-        return _json(
+        return output(_json(
             {
                 "params": _params_payload(p),
                 "length": args.length,
@@ -418,7 +424,7 @@ def _handle_equiv(args) -> str:
                 "only_brute": list(report.only_brute),
                 "values": list(report.brute_values),
             }
-        )
+        ))
     lines = [
         f"equivalence for {p}, length {args.length}: "
         f"{'MATCH' if report.match else 'MISMATCH'}",
@@ -429,7 +435,7 @@ def _handle_equiv(args) -> str:
         lines.append("  only pipeline: " + ", ".join(map(str, report.only_pipeline)))
     if report.only_brute:
         lines.append("  only scan:     " + ", ".join(map(str, report.only_brute)))
-    return "\n".join(lines) + "\n"
+    return output("\n".join(lines) + "\n")
 
 
 def _count(text: str) -> int:
@@ -534,7 +540,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if int_digits is not None:
             sys.set_int_max_str_digits(int_digits)
     sys.stdout.write(out)
-    return EXIT_OK
+    return EXIT_DOMAIN if isinstance(out, _Mismatch) else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -120,12 +120,13 @@ class Params:
     b: int
 
     def __post_init__(self) -> None:
-        if self.b < 2:
-            raise ValueError(f"base must be at least 2, got {self.b}")
-        if not 1 < self.n < self.b:
-            raise ValueError(
-                f"multiplier must satisfy 1 < n < b, got n={self.n}, b={self.b}"
-            )
+        n, b = _ints((self.n,), "multiplier") + _ints((self.b,), "base")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
+        if b < 2:
+            raise ValueError(f"base must be at least 2, got {b}")
+        if not 1 < n < b:
+            raise ValueError(f"multiplier must satisfy 1 < n < b, got n={n}, b={b}")
 
     # An int of more than 640 digits is named by its digit count (_decimal).
     def __repr__(self) -> str:
@@ -144,12 +145,13 @@ class DigitVec:
 
     def __post_init__(self) -> None:
         digits = tuple(self.digits)
-        if self.base < 2:
-            raise ValueError(f"base must be at least 2, got {self.base}")
+        (base,) = _ints((self.base,), "base")
+        object.__setattr__(self, "base", base)
+        if base < 2:
+            raise ValueError(f"base must be at least 2, got {base}")
         if not digits:
             raise ValueError("digit vector must hold at least one digit")
-        digits = _ints(digits, "digit", self.base, f" for base {self.base}")
-        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "digits", _ints(digits, "digit", base, f" for base {base}"))
 
     @classmethod
     def from_msd(cls, digits: Sequence[int], base: int) -> "DigitVec":
@@ -250,29 +252,21 @@ class PermutipleWitness:
             object.__setattr__(self, "sigma", _ints(self.sigma, "sigma index", ell))
 
     @classmethod
-    def build(
-        cls,
-        params: Params,
-        digits: DigitVec,
-        permuted: DigitVec,
-        sigma: Optional[Sequence[int]] = None,
-        find_sigma: bool = False,
-    ) -> "PermutipleWitness":
+    def build(cls, params: Params, digits: DigitVec, permuted: DigitVec) -> "PermutipleWitness":
         """Assemble a witness, deriving carries by floor division.
 
         The derived carries satisfy the recurrence exactly when the claim is
         a genuine single-digit multiplication; otherwise verify_witness
-        reports which checks fail instead of anything raising here.
+        reports which checks fail instead of anything raising here.  sigma
+        is find_permutation's, None when the digit multisets differ.
         """
         c = 0
         carries = [0]
         for d, q in zip(digits.digits, permuted.digits):
             c = (params.n * q - d + c) // params.b
             carries.append(c)
-        if find_sigma and sigma is None:
-            sigma = find_permutation(digits, permuted)
         return cls(params, digits, permuted, CarrySeq(tuple(carries)),
-                   tuple(sigma) if sigma is not None else None)
+                   find_permutation(digits, permuted))
 
     def __str__(self) -> str:
         return f"{self.digits} = {self.params.n}*{self.permuted}"

@@ -321,14 +321,12 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * a[size - 1][size - 1]
 
 
-def find_eulerian_circuit(
-    g: HSMultigraph, start: int = 0
-) -> Optional[tuple[LabeledMultiedge, ...]]:
-    """One Eulerian circuit from start by Hierholzer splicing, or None.
+def find_eulerian_circuit(g: HSMultigraph) -> Optional[tuple[LabeledMultiedge, ...]]:
+    """One Eulerian circuit from carry 0 by Hierholzer splicing, or None.
 
-    Success is equivalent to the condition-report verdict when start is 0;
-    the two are played against each other in the test suite, so this stays
-    an independent route and never consults condition_report.
+    Success is equivalent to the condition-report verdict; the two are
+    played against each other in the test suite, so this stays an
+    independent route and never consults condition_report.
     """
     remaining: dict[int, list[LabeledMultiedge]] = {}
     for e in g.multiedges:
@@ -336,10 +334,10 @@ def find_eulerian_circuit(
     for outs in remaining.values():
         outs.sort(reverse=True)  # pop() then takes the smallest first
     total = len(g.multiedges)
-    if total == 0 or not remaining.get(start):
+    if total == 0 or not remaining.get(0):
         return None
     trail: list[LabeledMultiedge] = []
-    stack: list[tuple[int, Optional[LabeledMultiedge]]] = [(start, None)]
+    stack: list[tuple[int, Optional[LabeledMultiedge]]] = [(0, None)]
     while stack:
         v, incoming = stack[-1]
         outs = remaining.get(v)
@@ -353,11 +351,11 @@ def find_eulerian_circuit(
     trail.reverse()
     if len(trail) != total:
         return None
-    state = start
+    state = 0
     for e in trail:
         if e.c1 != state:
             return None
         state = e.c2
-    if state != start:
+    if state != 0:
         return None
     return tuple(trail)

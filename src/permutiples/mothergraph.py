@@ -13,9 +13,8 @@ of the package trades in.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from ._digraph import elementary_cycles
 from .digits import Params, PermutipleWitness, _exact, _trusted
@@ -29,7 +28,6 @@ __all__ = [
     "edge_allowed",
     "build_mother_graph",
     "graph_of_witness",
-    "is_in_class",
     "enumerate_cycles",
     "graph_to_dot",
     "DEFAULT_MAX_CYCLES",
@@ -67,14 +65,14 @@ def _step(pair: DigitPair | tuple[int, int], p: Params) -> tuple[int, int] | Non
 
     Works on the one pair, in O(1) at any base: the only carry that can
     write d1 from d2 is c1 = (d1 - n*d2) mod b, and it must be below n.
-    Non-integral values inside the digit range are never allowed.
+    A digit that is not a number raises ValueError naming it; non-integral
+    values inside the digit range are never allowed.
     """
-    d1, d2 = pair
+    d1, d2 = map(_exact, pair)
     if not (0 <= d1 < p.b and 0 <= d2 < p.b):
         raise ValueError(f"pair ({d1},{d2}) is not made of base-{p.b} digits")
-    if int(d1) != d1 or int(d2) != d2:
+    if type(d1) is not int or type(d2) is not int:
         return None
-    d1, d2 = int(d1), int(d2)
     c1 = (d1 - p.n * d2) % p.b
     if c1 >= p.n:
         return None
@@ -110,14 +108,6 @@ class DigitGraph:
             adj[e.d1].append(e.d2)
         return adj
 
-    def __contains__(self, pair: object) -> bool:
-        try:
-            key = DigitPair(*pair)  # type: ignore[misc]
-            i = bisect_left(self.edges, key)
-        except TypeError:
-            return False
-        return i < len(self.edges) and self.edges[i] == key
-
 
 @dataclass(frozen=True, slots=True)
 class MotherGraph(DigitGraph):
@@ -149,13 +139,6 @@ def graph_of_witness(w: PermutipleWitness) -> ClassGraph:
     return ClassGraph(w.params, tuple(sorted(pairs)))
 
 
-def is_in_class(w: PermutipleWitness, g: DigitGraph) -> bool:
-    """Whether the witness stays inside the pairs of g."""
-    if w.params != g.params:
-        return False
-    return set(graph_of_witness(w).edges) <= set(g.edges)
-
-
 @dataclass(frozen=True, slots=True)
 class Cycle:
     """An elementary directed cycle, stored from its smallest vertex.
@@ -183,18 +166,6 @@ class Cycle:
             raise ValueError("cycle visits a vertex twice")
         if canon[0].d1 != min(verts):
             raise ValueError("cycle must start at its smallest vertex")
-
-    @classmethod
-    def from_vertices(cls, vs: Sequence[int]) -> "Cycle":
-        """Canonical cycle through the given vertex sequence."""
-        i = vs.index(min(vs))
-        rot = tuple(vs[i:]) + tuple(vs[:i])
-        k = len(rot)
-        return cls(tuple(DigitPair(rot[j], rot[(j + 1) % k]) for j in range(k)))
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(e.d1 for e in self.edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -237,18 +208,12 @@ def _short_cycles(
     return tuple([_trusted(Cycle)(edges=edges) for edges in cycles])
 
 
-def graph_to_dot(
-    g: DigitGraph,
-    highlight: Iterable[DigitPair | tuple[int, int]] = (),
-    name: str = "digit_graph",
-) -> str:
-    """Graphviz source for a digit graph; highlighted edges are drawn red."""
-    marked = {DigitPair(*e) for e in highlight}
+def graph_to_dot(g: DigitGraph, name: str = "digit_graph") -> str:
+    """Graphviz source for a digit graph."""
     lines = [f"digraph {name} {{"]
     for v in g.vertices:
         lines.append(f"  {v};")
     for e in g.edges:
-        attr = " [color=red]" if e in marked else ""
-        lines.append(f"  {e.d1} -> {e.d2}{attr};")
+        lines.append(f"  {e.d1} -> {e.d2};")
     lines.append("}")
     return "\n".join(lines) + "\n"

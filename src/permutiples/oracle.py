@@ -137,9 +137,7 @@ def brute_force_search(
     """
     _check_budget(p, length, max_scan)
     return tuple(
-        PermutipleWitness.build(
-            p, digits_of(m, p.b, length), digits_of(q, p.b, length), find_sigma=True
-        )
+        PermutipleWitness.build(p, digits_of(m, p.b, length), digits_of(q, p.b, length))
         for m, q in _scan_hits(p, length)
     )
 

@@ -22,15 +22,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .digits import CarrySeq, DigitVec, Params, PermutipleWitness, find_permutation
 from .digits import _exact, _ints, _trusted
 from .errors import NotAnLWalkError, RejectedPairError, UnknownCycleIndexError
-from .mothergraph import (
-    DEFAULT_MAX_CYCLES,
-    Cycle,
-    DigitPair,
-    _carry_row,
-    _step,
-    build_mother_graph,
-    enumerate_cycles,
-)
+from .mothergraph import Cycle, DigitPair, _carry_row, _step
 
 __all__ = [
     "LabeledMultiedge",
@@ -110,13 +102,6 @@ class HSMultigraph:
     def label_multiplicities(self) -> Counter:
         return Counter(e.label for e in self.multiedges)
 
-    def union(self, other: "HSMultigraph") -> "HSMultigraph":
-        """Multiset union: multiplicities add."""
-        if self.params != other.params:
-            raise ValueError("cannot union multigraphs over different parameters")
-        edges = tuple(sorted(self.multiedges + other.multiedges))
-        return _trusted(HSMultigraph)(params=self.params, multiedges=edges)
-
     def __len__(self) -> int:
         return len(self.multiedges)
 
@@ -163,30 +148,19 @@ class CycleMultiset:
     def items(self) -> tuple[tuple[int, int], ...]:
         return self.counts
 
-    @property
-    def total_cycles(self) -> int:
-        return sum(m for _, m in self.counts)
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"{i}: {m}" for i, m in self.counts) + "}"
 
 
-def union_images(
-    ms: CycleMultiset,
-    p: Params,
-    inventory: Sequence[Cycle] | None = None,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-) -> HSMultigraph:
+def union_images(ms: CycleMultiset, p: Params, inventory: Sequence[Cycle]) -> HSMultigraph:
     """Multiset union of the multi-images of the cycles named by ms.
 
-    inventory defaults to the canonical cycle inventory of the (n, b) mother
-    graph; pass the inventory of a class graph to work inside one class.
-    The empty multiset gives the empty multigraph.  Raises
-    UnknownCycleIndexError for an index the inventory does not have, and
-    what transition() raises for a cycle edge that is not an allowed pair.
+    inventory is the canonical cycle inventory the indices of ms name:
+    enumerate_cycles of the (n, b) mother graph, or of a class graph to
+    work inside one class.  The empty multiset gives the empty multigraph.
+    Raises UnknownCycleIndexError for an index the inventory does not have,
+    and what transition() raises for a cycle edge that is not an allowed pair.
     """
-    if inventory is None:
-        inventory = enumerate_cycles(build_mother_graph(p), max_cycles=max_cycles)
     images = {}
     for index, _ in ms.items():
         if index >= len(inventory):

@@ -72,7 +72,7 @@ def test_builders_match_public_constructors(p):
     images = [cycle_multi_image(c, p) for c in inventory]
     for img in images:
         assert_built(img, HSMultigraph(p, img.multiedges))
-    both = images[0].union(images[-1])
+    both = union_images(CycleMultiset.from_indices([0, len(inventory) - 1]), p, inventory)
     assert_built(both, HSMultigraph(p, images[0].multiedges + images[-1].multiedges))
     strings = 0
     # every union of at most two of the first twelve cycles

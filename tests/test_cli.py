@@ -463,7 +463,8 @@ def test_budget_past_its_bit_length_fails_at_once(capsys):
 
 def test_equiv_reports_a_mismatch(capsys, monkeypatch):
     # A scan that loses its first hit of (2,4,4) disagrees with the pipeline;
-    # one with an extra hit disagrees the other way.  The exit code stays 0.
+    # one with an extra hit disagrees the other way.  Both formats print the
+    # report as on a match, and the run exits 4.
     real = oracle._scan_hits
 
     def drop_first(p, length):
@@ -478,20 +479,20 @@ def test_equiv_reports_a_mismatch(capsys, monkeypatch):
     argv = ("equiv", "--n", "2", "--b", "4", "--len", "4")
     monkeypatch.setattr(oracle, "_scan_hits", drop_first)
     code, out, err = run(capsys, *argv)
-    assert (code, err) == (EXIT_OK, "")
+    assert (code, err) == (EXIT_DOMAIN, "")
     assert out == (
         "equivalence for (n=2, b=4), length 4: MISMATCH\n"
         "  pipeline: 13 values\n"
         "  scan:     12 values\n"
         "  only pipeline: 66\n"
     )
-    code, out, _ = run(capsys, *argv, "--format", "json")
+    code, out, err = run(capsys, *argv, "--format", "json")
     report = json.loads(out)
-    assert code == EXIT_OK
+    assert (code, err) == (EXIT_DOMAIN, "")
     assert (report["match"], report["only_pipeline"], report["only_brute"]) == (False, [66], [])
     monkeypatch.setattr(oracle, "_scan_hits", add_seven)
-    code, out, _ = run(capsys, *argv)
-    assert code == EXIT_OK
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_DOMAIN, "")
     assert out.splitlines()[0].endswith("MISMATCH")
     assert out.splitlines()[-1] == "  only scan:     7"
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,8 @@ from permutiples import (
     digits_of,
     find_permutation,
     value,
+    edge_allowed,
+    transition,
     verify_witness,
 )
 
@@ -76,18 +80,24 @@ def test_integral_floats_are_stored_as_ints():
     assert c.carries == (0, 3, 0)
     assert [type(x) for x in c] == [int, int, int]
     w = PermutipleWitness.build(Params(2, 4), DigitVec.from_msd([1.0, 0, 2.0], 4),
-                                DigitVec.from_msd([0, 2.0, 1], 4), find_sigma=True)
+                                DigitVec.from_msd([0, 2.0, 1], 4))
     assert str(w.digits) == "(1,0,2)_4" and verify_witness(w).is_permutiple
+    p = Params(2.0, 10.0)
+    assert p == Params(2, 10) and (type(p.n), type(p.b)) == (int, int)
+    assert repr(p) == "Params(n=2, b=10)"
+    v = DigitVec((1,), 10.0)
+    assert type(v.base) is int and str(v) == "(1)_10"
 
 
 def test_integral_float_sigma_is_stored_as_ints():
     p = Params(2, 4)
     digits, permuted = DigitVec((1, 0, 2), 4), DigitVec((0, 2, 1), 4)
-    w = PermutipleWitness.build(p, digits, permuted, sigma=(1.0, 2.0, 0.0))
+    # replace runs the constructor's checks, as a caller's own sigma must
+    w = replace(PermutipleWitness.build(p, digits, permuted), sigma=(1.0, 2.0, 0.0))
     assert verify_witness(w).sigma_consistent
     assert w.sigma == (1, 2, 0) and [type(i) for i in w.sigma] == [int, int, int]
     with pytest.raises(ValueError, match="not an integer"):
-        PermutipleWitness.build(p, digits, permuted, sigma=(1.5, 2, 0))
+        replace(w, sigma=(1.5, 2, 0))
 
 
 @pytest.mark.parametrize(
@@ -98,6 +108,7 @@ def test_integral_float_sigma_is_stored_as_ints():
         (lambda: CarrySeq((0, 0.75)), "carry 0.75 is not an integer"),
         (lambda: _shaped(sigma=(0, 7, 1)), "sigma index 7 out of range"),
         (lambda: _shaped(sigma=(0, 1.5, 1)), "sigma index 1.5 is not an integer"),
+        (lambda: Params(2.5, 10), "multiplier 2.5 is not an integer"),
     ],
 )
 def test_integer_rule_names_the_value(build, message):
@@ -119,9 +130,15 @@ def test_integer_rule_names_the_value(build, message):
         (lambda: ClassGraph(Params(2, 4), [(0, "0")]), "pair digit '0' is not a number"),
         (lambda: HSMultigraph(Params(2, 4), [(0, 0, ("0", 0))]), "pair digit '0' is not a number"),
         (lambda: PermutipleString(((0, 0), (1, b"1"))), "pair digit b'1' is not a number"),
+        (lambda: Params("2", 10), "multiplier '2' is not a number"),
+        (lambda: Params(2, "10"), "base '10' is not a number"),
+        (lambda: DigitVec((1,), "10"), "base '10' is not a number"),
+        (lambda: edge_allowed(("a", 1), Params(2, 4)), "pair digit 'a' is not a number"),
+        (lambda: transition((1, "a"), Params(2, 4)), "pair digit 'a' is not a number"),
     ],
     ids=["DigitVec", "CarrySeq", "sigma", "index", "multiplicity", "Cycle", "Cycle-all-str",
-         "ClassGraph", "HSMultigraph", "PermutipleString"],
+         "ClassGraph", "HSMultigraph", "PermutipleString", "Params-n", "Params-b",
+         "DigitVec-base", "edge_allowed", "transition"],
 )
 def test_constructors_name_a_value_that_is_not_a_number(build, message):
     with pytest.raises(ValueError) as info:
@@ -243,7 +260,6 @@ def _witness(n, b, msd_digits, msd_permuted):
         p,
         DigitVec.from_msd(msd_digits, b),
         DigitVec.from_msd(msd_permuted, b),
-        find_sigma=True,
     )
 
 
@@ -273,11 +289,11 @@ def test_verify_flags_bad_sigma():
     p = Params(4, 10)
     digits = DigitVec.from_msd([8, 7, 9, 1, 2], 10)
     permuted = DigitVec.from_msd([2, 1, 9, 7, 8], 10)
-    good = PermutipleWitness.build(p, digits, permuted, find_sigma=True)
+    good = PermutipleWitness.build(p, digits, permuted)
     assert verify_witness(good).sigma_consistent
-    bad = PermutipleWitness.build(p, digits, permuted, sigma=(0, 1, 2, 3, 4))
+    bad = replace(good, sigma=(0, 1, 2, 3, 4))
     assert not verify_witness(bad).sigma_consistent
-    repeated = PermutipleWitness.build(p, digits, permuted, sigma=(0, 0, 2, 1, 4))
+    repeated = replace(good, sigma=(0, 0, 2, 1, 4))
     assert not verify_witness(repeated).sigma_consistent
 
 
