@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cache
 from numbers import Number
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DigitAlignmentError
 
@@ -278,14 +278,9 @@ def value(v: DigitVec) -> int:
     >>> value(DigitVec.from_msd([8, 7, 9, 1, 2], 10))
     87912
     """
-    return _from_msd(reversed(v.digits), v.base)
-
-
-def _from_msd(digits: Iterable[int], base: int) -> int:
-    # Horner's rule over digits given most significant first.
     total = 0
-    for d in digits:
-        total = total * base + d
+    for d in reversed(v.digits):  # Horner's rule, most significant first
+        total = total * v.base + d
     return total
 
 

@@ -114,31 +114,21 @@ def condition_report(g: HSMultigraph) -> ConditionReport:
     )
 
 
-def _rows(arcs) -> dict[int, list[list]]:
-    """Per state: [to, label, multiplicity] rows sorted by (to, label).
-
-    arcs are (from, to, label) triples, one per multiedge copy.
-    """
-    groups: dict[int, dict[tuple, list]] = {}
-    for v, to, label in arcs:
-        row = groups.setdefault(v, {}).setdefault((to, label), [to, label, 0])
-        row[2] += 1
-    return {v: [rows[k] for k in sorted(rows)] for v, rows in groups.items()}
-
-
 def _circuits(
     groups: dict[int, list[list]], first_rows: list[list], total: int
 ) -> Iterator[tuple]:
     """Label sequences of the Eulerian circuits of `total` edges from state 0.
 
-    Depth-first over the rows of groups, one copy of a label at a time, on
-    an explicit stack: depth d holds the rows of the state reached after d
-    steps and the index of the row taken there, and i is the next row to
-    try at the current depth.  Depth 0 tries first_rows: state 0's rows, or
-    some of those same row lists, whose copy counts later visits to 0 share.
-    Only for multigraphs with a positive BEST count: every state reached
-    has rows, and a trail from 0 that uses every edge of a balanced
-    multigraph ends at 0.
+    groups[v] lists the [to, label, multiplicity] rows of the steps out of
+    v; _closer_first passes each state's in-edges, so a step runs an edge
+    backwards.  Depth-first over the rows in list order, one copy of a
+    label at a time, on an explicit stack: depth d holds the rows of the
+    state reached after d steps and the index of the row taken there, and
+    i is the next row to try at the current depth.  Depth 0 tries
+    first_rows: state 0's rows, or a subset of those same rows, whose copy
+    counts later visits to 0 share.  Only for multigraphs with a positive
+    BEST count: every state reached has rows, and a trail from 0 that uses
+    every edge of a balanced multigraph ends at 0.
     """
     labels: list = [None] * total
     taken = [0] * total
@@ -172,51 +162,51 @@ def _circuits(
         i += 1
 
 
+def _closer_first(g: HSMultigraph, forbid_zero: bool, cap: int) -> Iterator[tuple]:
+    """g's strings as label tuples, most significant pair first, by ascending value.
+
+    _string_count runs first, so a run over cap raises CapExceededError
+    before anything is walked.  The walk runs backwards along the edges from state 0, so its
+    first edge is a circuit's closing one, which writes the leading product
+    digit: with leading zeros forbidden only the in-edges of 0 with d1 != 0
+    start a walk, and no circuit is walked only to be dropped.  A state's
+    in-edge rows are keyed and sorted by label, and two labels into one
+    state differ in d1, because c2 and d1 fix d2 and c1; so each step takes
+    the next digit of the product in increasing order, and the values come
+    out strictly ascending.
+    """
+    if not _string_count(g, forbid_zero, cap):
+        return iter(())
+    groups: dict[int, dict] = {}
+    for e in g.multiedges:
+        row = groups.setdefault(e.c2, {}).setdefault(e.label, [e.c1, e.label, 0])
+        row[2] += 1
+    rows = {v: [by_label[k] for k in sorted(by_label)] for v, by_label in groups.items()}
+    first = [row for row in rows[0] if row[1].d1] if forbid_zero else rows[0]
+    return _circuits(rows, first, len(g.multiedges))
+
+
 def enumerate_strings(
     g: HSMultigraph, opts: EnumerationOptions | None = None
 ) -> tuple[PermutipleString, ...]:
     """Every Eulerian circuit of g from state 0, read as a pair string.
 
-    Returns () whenever the BEST count of count_circuits is 0.  The walk is
-    depth-first over out-edges ordered by (to-state, label), taking one copy
-    of a label at a time, so the output order is deterministic and circuits
-    differing only in which identical copy they used appear once.  Those
-    strings are also numerically distinct: the product digits fix m, m = n*q
-    fixes q's padded digits, and so the value fixes the whole string.  The
-    walk keeps its own stack, so long multigraphs never reach the recursion
-    limit.  Raises CapExceededError rather than silently truncating; the
-    result count is known exactly from the BEST count in both leading-zero
-    modes, so an oversized run raises before walking at all.
+    Returns () whenever the BEST count of count_circuits is 0.  The strings
+    come out in strictly ascending value (see _closer_first), taking one
+    copy of a label at a time, so circuits differing only in which
+    identical copy they used appear once.  Those strings are also
+    numerically distinct: the product digits fix m, m = n*q fixes q's
+    padded digits, and so the value fixes the whole string.  The walk keeps
+    its own stack, so long multigraphs never reach the recursion limit.
+    Raises CapExceededError rather than silently truncating; the result
+    count is known exactly from the BEST count in both leading-zero modes,
+    so an oversized run raises before walking at all.
     """
     if opts is None:
         opts = EnumerationOptions()
     forbid_zero = opts.leading_zero == FORBID_LEADING_ZERO
-    if not _string_count(g, forbid_zero, opts.cap):
-        return ()
-    groups = _rows(g.multiedges)
-    return tuple(
-        _trusted(PermutipleString)(pairs=labels)
-        for labels in _circuits(groups, groups[0], len(g.multiedges))
-        if not (forbid_zero and labels[-1].d1 == 0)
-    )
-
-
-def _product_digits(g: HSMultigraph, cap: int) -> Iterator[tuple[int, ...]]:
-    """Product digits, most significant first, of g's strings with no leading zero.
-
-    The strings enumerate_strings(g) keeps with leading zeros forbidden, in
-    another order, and the same CapExceededError, raised before anything is
-    walked.  The walk runs on the reversed multigraph from state 0, so its
-    first edge is the circuit's last one, which writes the leading digit:
-    only the in-edges of 0 with d1 != 0 start a walk, and no circuit is
-    walked only to be dropped.  A row keys on d1 alone, because c1, c2 and
-    d1 fix d2.
-    """
-    if not _string_count(g, True, cap):
-        return iter(())
-    groups = _rows((e.c2, e.c1, e.label.d1) for e in g.multiedges)
-    first = [row for row in groups[0] if row[1]]
-    return _circuits(groups, first, len(g.multiedges))
+    build = _trusted(PermutipleString)
+    return tuple([build(pairs=labels[::-1]) for labels in _closer_first(g, forbid_zero, opts.cap)])
 
 
 def _string_count(g: HSMultigraph, forbid_zero: bool, cap: int) -> int:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Sequence
 
-from .digits import Params, PermutipleWitness, _decimal, _from_msd, digits_of
+from .digits import Params, PermutipleWitness, _decimal, digits_of
 from .errors import BudgetExceededError
-from .euler import DEFAULT_MAX_STRINGS, _product_digits
+from .euler import DEFAULT_MAX_STRINGS, _closer_first
 from .mothergraph import DEFAULT_MAX_CYCLES, _carry_row, _short_cycles, _step, build_mother_graph
 from .statemachine import LabeledMultiedge, _join_images, cycle_multi_image
 
@@ -282,7 +282,10 @@ def equivalence_check(
         if g.multiedges in walked:
             continue
         walked.add(g.multiedges)
-        for digits in _product_digits(g, max_strings):
-            pipeline.add(_from_msd(digits, p.b))
+        for labels in _closer_first(g, True, max_strings):
+            m = 0
+            for label in labels:
+                m = m * p.b + label.d1
+            pipeline.add(m)
     brute = tuple(m for m, _ in _scan_hits(p, length))
     return EquivalenceReport(p, length, tuple(sorted(pipeline)), brute)

@@ -14,6 +14,7 @@ from permutiples import (
     find_permutation,
     value,
 )
+from permutiples import euler
 
 
 def cycle_index(inventory, edges):
@@ -25,6 +26,20 @@ def cycle_index(inventory, edges):
         if {tuple(e) for e in c.edges} == target:
             return i
     raise AssertionError(f"no cycle with edges {sorted(target)}")
+
+
+def walked_circuits(monkeypatch):
+    """A list that collects every circuit euler's walker yields from now on."""
+    walked = []
+    circuits = euler._circuits
+
+    def spy(*args):
+        for labels in circuits(*args):
+            walked.append(labels)
+            yield labels
+
+    monkeypatch.setattr(euler, "_circuits", spy)
+    return walked
 
 
 def brute_force_cycles(graph):
@@ -139,13 +154,15 @@ def permutation_det(m):
 def reference_strings(g, forbid_zero=False):
     """Label tuples of g's Eulerian circuits from state 0, in walk order.
 
-    The reference enumerate_strings is checked against, order included: a
-    recursive depth-first walk over Counter(g.multiedges) rows, trying each
-    state's out-rows by (to-state, label) and taking one copy of a label at
-    a time.  With forbid_zero it drops circuits whose last label, the one
-    writing the leading product digit, has d1 == 0.  Returns [] when g has
-    no Eulerian circuit from 0.  Recursion is as deep as g has edges, fine
-    for the small unions the tests draw.
+    The reference enumerate_strings is checked against: a forward recursive
+    depth-first walk over Counter(g.multiedges) rows, independent of the
+    package's closer-first walk, trying each state's out-rows by (to-state,
+    label) and taking one copy of a label at a time.  enumerate_strings
+    lists the same tuples sorted by value.  With forbid_zero it drops
+    circuits whose last label, the one writing the leading product digit,
+    has d1 == 0.  Returns [] when g has no Eulerian circuit from 0.
+    Recursion is as deep as g has edges, fine for the small unions the
+    tests draw.
     """
     rows = {}
     for (c1, c2, label), mult in sorted(Counter(g.multiedges).items()):

@@ -10,7 +10,15 @@ from helpers import reference_search_output
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutiples import Params, brute_force_search, cli, oracle, value
+from permutiples import (
+    Params,
+    brute_force_search,
+    build_mother_graph,
+    cli,
+    enumerate_cycles,
+    oracle,
+    value,
+)
 from permutiples.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
@@ -90,6 +98,29 @@ def test_strings_table(capsys):
     assert len(lines) == 4
     assert any("594 = 2 * 297" in line for line in lines)
     assert any(line.lstrip().startswith("(2,1)(0,2)(1,2)(1,0)(2,1)") for line in lines)
+
+
+def test_strings_list_by_ascending_value(capsys):
+    # every union of at most two inventory cycles, both leading-zero modes:
+    # JSON values strictly increase, and the table rows come in that order
+    for b in range(3, 6):
+        for n in range(2, b):
+            k = len(enumerate_cycles(build_mother_graph(Params(n, b))))
+            unions = [[i] for i in range(k)] + [[i, j] for i in range(k) for j in range(i, k)]
+            for cycles in unions:
+                for mode in ([], ["--forbid-leading-zero"]):
+                    argv = ["strings", "--n", str(n), "--b", str(b), "--cycles"]
+                    argv += [",".join(map(str, cycles)), *mode]
+                    code, out, _ = run(capsys, *argv, "--format", "json")
+                    assert code == EXIT_OK
+                    strings = json.loads(out)["strings"]
+                    values = [row["value"] for row in strings]
+                    assert all(x < y for x, y in zip(values, values[1:])), argv
+                    code, out, _ = run(capsys, *argv)
+                    rows = out.splitlines()[1:]
+                    assert len(rows) == len(strings), argv
+                    for row, string in zip(rows, strings):
+                        assert row.endswith(f" {string['value']} = {n} * {string['multiplicand']}")
 
 
 def test_verify_table_true(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cycle_index, permutation_det
+from helpers import cycle_index, permutation_det, walked_circuits
 from permutiples import (
     CapExceededError,
     CycleMultiset,
@@ -193,6 +193,14 @@ def test_leading_zero_filter():
     assert set(strict) < set(allow_all)
     assert all(s.pairs[-1].d1 != 0 for s in strict)
     assert any(s.pairs[-1].d1 == 0 for s in allow_all)
+
+
+def test_forbid_mode_walks_only_what_it_keeps(monkeypatch):
+    # 4 of the 6 strings of {0, 3} have a nonzero leading digit
+    walked = walked_circuits(monkeypatch)
+    g = union24(I_LOOP0, I_THREE_A)
+    strict = enumerate_strings(g, EnumerationOptions(leading_zero=FORBID_LEADING_ZERO))
+    assert len(walked) == len(strict) == 4
 
 
 def test_numeric_dedup_matches_label_dedup_per_multigraph():

@@ -8,6 +8,7 @@ from helpers import (
     naive_permutiples,
     peel_cycle_cover,
     reference_witness,
+    walked_circuits,
 )
 from permutiples import (
     BudgetExceededError,
@@ -29,7 +30,7 @@ from permutiples import (
     value,
     verify_witness,
 )
-from permutiples.euler import _product_digits
+from permutiples.euler import _closer_first
 from permutiples.oracle import _cycle_multisets, _signature_table
 
 P24 = Params(2, 4)
@@ -336,14 +337,21 @@ def test_each_union_is_walked_once(monkeypatch):
     built = _built_unions(monkeypatch, P24, 8)
     walked = []
 
-    def spy(g, cap):
+    def spy(g, forbid_zero, cap):
         walked.append(g.multiedges)
-        return _product_digits(g, cap)
+        return _closer_first(g, forbid_zero, cap)
 
-    monkeypatch.setattr(oracle, "_product_digits", spy)
+    monkeypatch.setattr(oracle, "_closer_first", spy)
     rep = equivalence_check(P24, 8)
     assert len(set(walked)) == len(walked) < len(built)  # duplicate unions were skipped
     assert rep.match and len(rep.pipeline_values) == 1701
+
+
+def test_sweep_walks_only_what_it_keeps(monkeypatch):
+    # distinct unions spell distinct strings, and every string walked is kept
+    walked = walked_circuits(monkeypatch)
+    rep = equivalence_check(P24, 8)
+    assert len(walked) == len(rep.pipeline_values) == 1701
 
 
 def test_string_cap_is_checked_before_walking(monkeypatch):

@@ -52,7 +52,8 @@ from permutiples import (
     verify_witness,
 )
 from permutiples import euler
-from permutiples.euler import ALLOW_LEADING_ZERO, DEFAULT_MAX_STRINGS, FORBID_LEADING_ZERO
+from permutiples._digraph import strongly_connected_components
+from permutiples.euler import ALLOW_LEADING_ZERO, FORBID_LEADING_ZERO
 from permutiples.oracle import _cycle_multisets
 
 SMALL = [
@@ -220,36 +221,47 @@ def test_forbid_mode_count_matches_backtracking(data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), forbid=st.booleans())
 def test_walk_order_matches_recursive_reference(data, forbid):
-    # The walker's strings, order included, against a recursive walk of the
-    # same (to-state, label) rows in both leading-zero modes.
+    # The walker's strings, order included, against an independent forward
+    # recursive walk sorted by value, in both leading-zero modes.
     p, inv, idx = draw_multiset(data)
     g = union_images(CycleMultiset.from_indices(idx), p, inv)
     mode = FORBID_LEADING_ZERO if forbid else ALLOW_LEADING_ZERO
     strings = enumerate_strings(g, EnumerationOptions(leading_zero=mode))
-    assert [s.pairs for s in strings] == reference_strings(g, forbid_zero=forbid)
+
+    def spelled(pairs):
+        return sum(pair.d1 * p.b**i for i, pair in enumerate(pairs))
+
+    expected = sorted(reference_strings(g, forbid_zero=forbid), key=spelled)
+    assert [s.pairs for s in strings] == expected
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_closer_first_walk_spells_the_enumerated_values(data):
-    # equivalence_check walks the reversed union from its last edge, reading
-    # product digits most significant first; as a sorted list its values
-    # must be those of the strings with no leading zero, and their number
-    # the exact count.
-    p, inv, idx = draw_multiset(data)
-    g = union_images(CycleMultiset.from_indices(idx), p, inv)
-    walked = [
-        sum(d * p.b**i for i, d in enumerate(reversed(digits)))
-        for digits in euler._product_digits(g, DEFAULT_MAX_STRINGS)
-    ]
-    forbid = EnumerationOptions(leading_zero=FORBID_LEADING_ZERO)
-    enumerated = [
-        sum(pair.d1 * p.b**i for i, pair in enumerate(s.pairs))
-        for s in enumerate_strings(g, forbid)
-    ]
-    assert sorted(walked) == sorted(enumerated)
-    distinct = count_circuits(g).label_distinct
-    assert len(walked) == (euler._nonzero_led(g, distinct) if distinct else 0)
+@st.composite
+def small_digraphs(draw):
+    """Vertices in a drawn order and adjacency lists on at most 8 vertices."""
+    k = draw(st.integers(0, 8))
+    vertices = draw(st.permutations(range(k)))
+    adj = {v: draw(st.lists(st.integers(0, k - 1), max_size=2 * k)) for v in range(k)}
+    return vertices, adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraphs())
+def test_components_are_mutual_reachability_classes(graph):
+    vertices, adj = graph
+    reach = {}
+    for v in vertices:
+        seen, todo = {v}, [v]
+        while todo:
+            for w in adj[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach[v] = seen
+    classes = {frozenset(u for u in reach[v] if v in reach[u]) for v in vertices}
+    components = strongly_connected_components(vertices, adj)
+    assert all(comp == sorted(comp) for comp in components)
+    assert sorted(v for comp in components for v in comp) == sorted(vertices)
+    assert {frozenset(comp) for comp in components} == classes
 
 
 def product_multisets(lengths, total):
