@@ -1,17 +1,16 @@
 """Ground truth from the defining equation, and the palintiple count.
 
 The scan checks candidates by direct base-b arithmetic only, so the graph
-pipeline has a fully independent answer to agree with.  It iterates over
-the multiplicand q and tests m = n*q, which covers exactly the shared
-search convention: the product fills all of its digit positions (leading
-digit nonzero) while the multiplicand is compared on its zero padding.
+pipeline has a fully independent answer to agree with.  Its hits are the
+pairs m = n*q, which covers exactly the shared search convention: the
+product fills all of its digit positions (leading digit nonzero) while the
+multiplicand is compared on its zero padding.
 
-Two facts keep the scan short.  A digit permutation keeps the digit sum,
-and a number is congruent to its digit sum modulo b-1, so every hit has
-m = q (mod b-1), that is (n-1)q = 0 (mod b-1): only multiples of
-(b-1)/gcd(n-1, b-1) can be hits, and the scan steps over the rest.  It
-then compares digit multisets as packed histograms looked up per half of
-the number, and builds digit vectors for hits alone.
+The scan is a meet-in-the-middle join (Horowitz and Sahni, J. ACM 21,
+1974).  It splits q and m into high and low halves and compares digit
+multisets as packed histograms, one per half, so it visits b**(L//2) low
+halves and about b**(L - L//2) high halves, not b**L multiplicands, and
+builds digit vectors for hits alone.
 
 Palintiples, m = n*q with m's digits q's reversed, are counted on the
 Hoey-Sloane carry-pair automaton (Sloane, "2178 and all that",
@@ -24,7 +23,6 @@ Both routes keep the plain per-candidate loop in the tests as reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator, Sequence
 
 from .digits import Params, PermutipleWitness, _decimal, digits_of
@@ -63,18 +61,6 @@ def _check_budget(p: Params, length: int, max_scan: int) -> None:
     )
 
 
-def _scan_range(p: Params, length: int) -> tuple[int, int, int]:
-    """First multiplicand, last multiplicand and stride of a length-digit scan.
-
-    The first multiplicand is the smallest multiple of the stride whose
-    product has `length` digits; the stride is (b-1)/gcd(n-1, b-1).
-    """
-    stride = (p.b - 1) // gcd(p.n - 1, p.b - 1)
-    q_lo = (p.b ** (length - 1) + p.n - 1) // p.n
-    q_hi = (p.b**length - 1) // p.n
-    return -(-q_lo // stride) * stride, q_hi, stride
-
-
 def _signature_table(b: int, width: int, field: int) -> list[int]:
     """Packed digit histogram of every zero-padded width-digit base-b number.
 
@@ -96,6 +82,15 @@ def _scan_hits(p: Params, length: int) -> Iterator[tuple[int, int]]:
     The caller has checked the budget.  A hit still meets the full defining
     equation: m has exactly `length` digits and q's zero-padded digits are
     a permutation of m's.
+
+    q splits at S = b**(length//2) into halves qh and ql.  With
+    carry, ml = divmod(n*ql, S), m splits into mh = n*qh + carry and ml,
+    and the digit multisets agree when high[mh] + low[ml] equals
+    high[qh] + low[ql].  Rearranged, low[ml] - low[ql] = high[qh] - high[mh]:
+    each low half is filed under its carry and its side of that equation,
+    then each high half qh and carry look up theirs, keeping mh only when it
+    fills all high digits with a nonzero top digit.  qh ascending, then the
+    carry, then each bucket's ql ascending, gives m ascending.
     """
     if length == 1:
         # m = n*q > q, so their single digits differ.  Returning here also
@@ -103,18 +98,22 @@ def _scan_hits(p: Params, length: int) -> Iterator[tuple[int, int]]:
         # b*field bits wide, and a width-1 table holds b of them.
         return
     n, b = p.n, p.b
-    q_first, q_last, stride = _scan_range(p, length)
     field = length.bit_length()
     low_width = length // 2
     split = b**low_width
     low = _signature_table(b, low_width, field)
     high = _signature_table(b, length - low_width, field)
-    for q in range(q_first, q_last + 1, stride):
-        m = n * q
-        m_high, m_low = divmod(m, split)
-        q_high, q_low = divmod(q, split)
-        if high[m_high] + low[m_low] == high[q_high] + low[q_low]:
-            yield m, q
+    buckets: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for ql, signature in enumerate(low):
+        carry, ml = divmod(n * ql, split)
+        buckets[carry].setdefault(low[ml] - signature, []).append(ql)
+    mh_lo, mh_hi = len(high) // b, len(high)
+    for qh in range(mh_lo // n, (mh_hi - 1) // n + 1):
+        signature, base = high[qh], n * qh
+        for carry in range(max(0, mh_lo - base), min(n, mh_hi - base)):
+            for ql in buckets[carry].get(signature - high[base + carry], ()):
+                q = qh * split + ql
+                yield n * q, q
 
 
 def brute_force_search(
@@ -126,11 +125,10 @@ def brute_force_search(
     quotient's zero-padded digits are a permutation of m's digits.  Results
     come back ordered by m.
 
-    The scan visits only multiplicands q divisible by (b-1)/gcd(n-1, b-1),
-    the only ones whose digit sum can match their product's.  It splits
-    m and q at b**(length//2) and compares their digit multisets as sums
-    of two precomputed histogram signatures, one per half.  Each hit becomes
-    a witness through the public constructors: digits_of pads m and q to
+    The scan joins the low halves of q, below b**(length//2), with the high
+    halves, and compares the digit multisets of m and q as sums of two
+    precomputed histogram signatures, one per half.  Each hit becomes a
+    witness through the public constructors: digits_of pads m and q to
     `length` digits, and PermutipleWitness.build derives the carries and the
     permutation and checks the shape.  The budget check still counts all
     b**length candidates.

@@ -207,7 +207,7 @@ def naive_permutiples(p, length):
     The reference brute_force_search is checked against: it tries every
     multiplicand whose product has `length` digits, splits both numbers into
     zero-padded digits with divmod and compares the sorted digit lists.  No
-    stride, no signature tables.  Linear in b**length, fine for small scans.
+    half split, no signature tables.  Linear in b**length, fine for small scans.
     """
 
     def padded_digits(x):

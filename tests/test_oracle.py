@@ -24,6 +24,7 @@ from permutiples import (
     enumerate_cycles,
     equivalence_check,
     euler,
+    mothergraph,
     oracle,
     palintiple_count,
     union_images,
@@ -31,7 +32,7 @@ from permutiples import (
     verify_witness,
 )
 from permutiples.euler import _closer_first
-from permutiples.oracle import _cycle_multisets, _signature_table
+from permutiples.oracle import _cycle_multisets, _scan_hits, _signature_table
 
 P24 = Params(2, 4)
 P410 = Params(4, 10)
@@ -75,18 +76,20 @@ def test_one_digit_scan_builds_no_tables(monkeypatch):
 
 
 def test_scan_results_use_full_width_padding():
-    # 10872 = 4 * 2718: the quotient only reaches five digits as 02718
+    # 10872 = 4 * 2718: the quotient only reaches five digits as 02718, and
+    # at the join's split 10**2 its high half 027 starts with a zero
     ws = brute_force_search(P410, 5)
     w = next(w for w in ws if value(w.digits) == 10872)
     assert w.permuted.msd == (0, 2, 7, 1, 8)
     assert w.digits.msd == (1, 0, 8, 7, 2)
 
 
-# Every small (n, b) up to base 7, at every length with at most 20 000
-# candidates (L=1 has no permutiples), plus (4, 10, 5).  The scan's stride
-# (b-1)/gcd(n-1, b-1) takes the values 2 (2, 3), 3 (2, 4) and b-1 (2, 5).
+# Every small (n, b) up to base 8, at every length with at most 20 000
+# candidates (L=1 has no permutiples), plus (4, 10, 5).  The lengths are
+# even and odd, so the join's high half is as wide as its low half or one
+# digit wider, and they start at L = 2 and 3, where the low half is one digit.
 NAIVE_CASES = {(n, b): [L for L in range(1, 10) if b**L <= 20_000]
-               for b in range(3, 8) for n in range(2, b)}
+               for b in range(3, 9) for n in range(2, b)}
 NAIVE_CASES[(4, 10)] = [5]
 
 
@@ -96,6 +99,29 @@ def test_scan_agrees_with_naive_loop(n, b):
     for length in NAIVE_CASES[(n, b)]:
         found = [(value(w.digits), value(w.permuted)) for w in brute_force_search(p, length)]
         assert found == [(m, m // n) for m in naive_permutiples(p, length)], length
+
+
+@pytest.mark.parametrize("length,count", [(8, 5_082), (10, 219_289)])
+def test_join_counts_equal_the_pipeline_baseline(length, count):
+    # past the default scan budget; the counts are the pipeline's for (4, 10)
+    hits = list(_scan_hits(P410, length))
+    assert len(hits) == count
+    assert [m for m, _ in hits] == sorted({m for m, _ in hits})
+    assert all(m == 4 * q for m, q in hits)
+
+
+@pytest.mark.parametrize("n,b,length", [(4, 10, 6), (2, 4, 8)])
+def test_scan_reads_no_carry_machine_row(monkeypatch, n, b, length):
+    # the oracle is the defining equation alone, not the carry machine
+    # that the pipeline it checks is built on
+    def carry_machine(*args):
+        raise AssertionError("the scan read the carry machine")
+
+    for name in ("_carry_row", "_step"):
+        monkeypatch.setattr(mothergraph, name, carry_machine)
+        monkeypatch.setattr(oracle, name, carry_machine)
+    p = Params(n, b)
+    assert list(_scan_hits(p, length)) == [(m, m // n) for m in naive_permutiples(p, length)]
 
 
 @pytest.mark.parametrize("b,length", [(2, 7), (3, 4), (4, 3)])
