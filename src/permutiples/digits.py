@@ -120,11 +120,9 @@ class Params:
     b: int
 
     def __post_init__(self) -> None:
-        n, b = self.n, self.b
-        if type(n) is not int or type(b) is not int:
-            n, b = _ints((n,), "multiplier") + _ints((b,), "base")
-            object.__setattr__(self, "n", n)
-            object.__setattr__(self, "b", b)
+        n, b = _ints((self.n,), "multiplier") + _ints((self.b,), "base")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
         if b < 2:
             raise ValueError(f"base must be at least 2, got {b}")
         if not 1 < n < b:

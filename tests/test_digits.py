@@ -39,19 +39,6 @@ def test_params_rejects_degenerate_pairs(n, b):
         Params(n, b)
 
 
-def test_params_of_plain_ints_skip_the_integer_rule(monkeypatch):
-    # two ints are stored as given; one other type sends both through the rule
-    def integer_rule(*args):
-        raise AssertionError("integer rule ran on plain ints")
-
-    with monkeypatch.context() as m:
-        m.setattr("permutiples.digits._ints", integer_rule)
-        p = Params(2, 10)
-    assert (p.n, p.b) == (2, 10)
-    for p in (Params(2, 10.0), Params(2.0, 10)):
-        assert (p.n, p.b) == (2, 10) and (type(p.n), type(p.b)) == (int, int)
-
-
 def test_params_text_names_a_huge_int_by_its_digit_count():
     # Up to 640 digits every int prints under any int-to-str limit and the
     # text is the dataclass's own; past it, the int is named by digit count.

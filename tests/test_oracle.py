@@ -113,7 +113,8 @@ def test_join_counts_equal_the_pipeline_baseline(length, count):
 @pytest.mark.parametrize("n,b,length", [(4, 10, 6), (2, 4, 8)])
 def test_scan_reads_no_carry_machine_row(monkeypatch, n, b, length):
     # the oracle is the defining equation alone, not the carry machine
-    # that the pipeline it checks is built on
+    # that the pipeline it checks is built on; no scan so far read a carry
+    # row, so this guards later edits of the scan rather than a past fault
     def carry_machine(*args):
         raise AssertionError("the scan read the carry machine")
 
