@@ -21,8 +21,6 @@ from .errors import (
 )
 from .euler import (
     DEFAULT_MAX_STRINGS,
-    ALLOW_LEADING_ZERO,
-    FORBID_LEADING_ZERO,
     EnumerationOptions,
     condition_report,
     count_circuits,
@@ -289,16 +287,11 @@ def _handle_check(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _enum_options(args) -> EnumerationOptions:
-    leading = FORBID_LEADING_ZERO if args.forbid_leading_zero else ALLOW_LEADING_ZERO
-    return EnumerationOptions(leading_zero=leading, cap=args.max_strings)
-
-
 def _handle_strings(args) -> str:
     p = _params(args)
     ms = _cycle_multiset(args)
     g = union_images(ms, p, _inventory(args, p))
-    strings = enumerate_strings(g, _enum_options(args))
+    strings = enumerate_strings(g, EnumerationOptions(args.forbid_leading_zero, args.max_strings))
     witnesses = [string_to_witness(s, p) for s in strings]
     if args.format == "json":
         return _json(
@@ -404,13 +397,7 @@ def _handle_palintiples(args) -> str:
 
 def _handle_equiv(args) -> str:
     p = _params(args)
-    report = equivalence_check(
-        p,
-        args.length,
-        max_scan=args.max_scan,
-        max_strings=args.max_strings,
-        max_cycles=args.max_cycles,
-    )
+    report = equivalence_check(p, args.length, max_scan=args.max_scan, max_cycles=args.max_cycles)
     output = str if report.match else _Mismatch
     if args.format == "json":
         return output(_json(
@@ -480,7 +467,7 @@ _COMMANDS = {
     "palintiples": ("count reversal permutiples of one length", ("--len", "--max-scan")),
     "equiv": (
         "pipeline vs brute-force agreement for one length",
-        ("--len", "--max-scan", "--max-strings", "--max-cycles"),
+        ("--len", "--max-scan", "--max-cycles"),
     ),
 }
 

@@ -100,9 +100,9 @@ def _trusted(cls):
 _SPELLED = 10**640
 
 
-def _decimal(x: int, show=str) -> str:
+def _decimal(x: int) -> str:
     if x < _SPELLED:
-        return show(x)
+        return str(x)
     # (bits - 1) * log10(2), rounded down, is at most floor(log10(x))
     k = (x.bit_length() - 1) * 301029995 // 10**9
     power = 10**k
@@ -130,7 +130,7 @@ class Params:
 
     # An int of more than 640 digits is named by its digit count (_decimal).
     def __repr__(self) -> str:
-        return f"Params(n={_decimal(self.n, repr)}, b={_decimal(self.b, repr)})"
+        return f"Params(n={_decimal(self.n)}, b={_decimal(self.b)})"
 
     def __str__(self) -> str:
         return f"(n={_decimal(self.n)}, b={_decimal(self.b)})"

@@ -30,13 +30,9 @@ __all__ = [
     "count_circuits",
     "find_eulerian_circuit",
     "count_sequences_by_arborescences",
-    "ALLOW_LEADING_ZERO",
-    "FORBID_LEADING_ZERO",
     "DEFAULT_MAX_STRINGS",
 ]
 
-ALLOW_LEADING_ZERO = "allow"
-FORBID_LEADING_ZERO = "forbid"
 DEFAULT_MAX_STRINGS = 100_000
 
 
@@ -64,17 +60,18 @@ class ConditionReport:
 class EnumerationOptions:
     """Knobs for circuit enumeration.
 
-    leading_zero decides whether strings whose most significant product
-    digit is 0 are kept.  cap bounds the number of results; crossing it
-    raises instead of truncating.
+    forbid_leading_zero drops the strings whose most significant product
+    digit is 0; it must be a bool.  cap bounds the number of results;
+    crossing it raises instead of truncating.
     """
 
-    leading_zero: str = ALLOW_LEADING_ZERO
+    forbid_leading_zero: bool = False
     cap: int = DEFAULT_MAX_STRINGS
 
     def __post_init__(self) -> None:
-        if self.leading_zero not in (ALLOW_LEADING_ZERO, FORBID_LEADING_ZERO):
-            raise ValueError(f"unknown leading-zero mode {self.leading_zero!r}")
+        forbid = self.forbid_leading_zero
+        if type(forbid) is not bool:
+            raise ValueError(f"forbid_leading_zero must be a bool, got {forbid!r}")
         if self.cap < 1:
             raise ValueError(f"cap must be positive, got {self.cap}")
 
@@ -204,9 +201,9 @@ def enumerate_strings(
     """
     if opts is None:
         opts = EnumerationOptions()
-    forbid_zero = opts.leading_zero == FORBID_LEADING_ZERO
     build = _trusted(PermutipleString)
-    return tuple([build(pairs=labels[::-1]) for labels in _closer_first(g, forbid_zero, opts.cap)])
+    walk = _closer_first(g, opts.forbid_leading_zero, opts.cap)
+    return tuple([build(pairs=labels[::-1]) for labels in walk])
 
 
 def _string_count(g: HSMultigraph, forbid_zero: bool, cap: int) -> int:

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from .digits import Params, PermutipleWitness, _decimal, digits_of
 from .errors import BudgetExceededError
-from .euler import DEFAULT_MAX_STRINGS, _closer_first
+from .euler import _closer_first
 from .mothergraph import DEFAULT_MAX_CYCLES, _carry_row, _short_cycles, _step, build_mother_graph
 from .statemachine import LabeledMultiedge, _join_images, cycle_multi_image
 
@@ -245,7 +245,6 @@ def equivalence_check(
     p: Params,
     length: int,
     max_scan: int = DEFAULT_MAX_SCAN,
-    max_strings: int = DEFAULT_MAX_STRINGS,
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> EquivalenceReport:
     """Compare the values the two routes produce for one digit count.
@@ -256,17 +255,17 @@ def equivalence_check(
     components spell.  Scan route: the brute-force scan's products.  Any
     symmetric difference means one side is wrong.
 
-    The scan budget and the string cap are checked before anything runs.
-    The cycle search stops at `length` edges, and max_cycles counts only the
-    cycles it finds.  Balance and contact with carry 0 add up over the cycle
-    images, each solved once, so a multiset failing either is dropped before
-    its union is joined; the BEST count decides the rest.  Distinct multisets
-    can share one union, and each union is walked once, from its last edge
-    back, so only strings with a nonzero leading digit are walked.
+    The scan budget is checked before anything runs.  The cycle search
+    stops at `length` edges, and max_cycles counts only the cycles it finds.
+    Balance and contact with carry 0 add up over the cycle images, each
+    solved once, so a multiset failing either is dropped before its union is
+    joined; the BEST count decides the rest.  Distinct multisets can share
+    one union, and each union is walked once, from its last edge back, so
+    only strings with a nonzero leading digit are walked.  Each string
+    walked is a distinct length-digit permutiple, so the b**length <=
+    max_scan gate bounds the whole walk, and the walker's cap is max_scan.
     """
     _check_budget(p, length, max_scan)
-    if max_strings < 1:
-        raise ValueError(f"max_strings must be positive, got {max_strings}")
     inventory = _short_cycles(build_mother_graph(p), length, max_cycles=max_cycles)
     lengths = [len(c.edges) for c in inventory]
     images = [cycle_multi_image(c, p).multiedges for c in inventory]
@@ -280,7 +279,7 @@ def equivalence_check(
         if g.multiedges in walked:
             continue
         walked.add(g.multiedges)
-        for labels in _closer_first(g, True, max_strings):
+        for labels in _closer_first(g, True, max_scan):
             m = 0
             for label in labels:
                 m = m * p.b + label.d1

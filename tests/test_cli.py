@@ -143,6 +143,16 @@ def test_verify_table_false(capsys):
     assert "  is_permutiple:      no" in out
 
 
+def test_main_runs_without_an_int_to_str_limit(capsys, monkeypatch):
+    # Python before 3.10.7 has neither function; main then leaves the limit alone.
+    argv = ("verify", "--n", "4", "--b", "10", "--digits", "8,7,9,1,2", "--permuted", "2,1,9,7,8")
+    usual = run(capsys, *argv)
+    assert usual[0] == EXIT_OK and usual[2] == ""
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert run(capsys, *argv) == usual
+
+
 def test_search_table(capsys):
     code, out, _ = run(capsys, "search", "--n", "2", "--b", "4", "--len", "3")
     assert code == EXIT_OK
@@ -569,8 +579,8 @@ def test_cap_fails_before_walking(capsys):
 def test_count_flags_are_checked_where_parsed(capsys):
     # A count below 1 is a usage error naming the flag, ahead of the scan budget.
     cases = [
-        (("equiv", "--n", "4", "--b", "10", "--len", "12", "--max-strings", "0"),
-         "argument --max-strings: must be positive, got 0"),
+        (("equiv", "--n", "4", "--b", "10", "--len", "12", "--max-cycles", "0"),
+         "argument --max-cycles: must be positive, got 0"),
         (("strings", "--n", "2", "--b", "4", "--cycles", "0", "--max-strings", "-1"),
          "argument --max-strings: must be positive, got -1"),
         (("cycles", "--n", "2", "--b", "4", "--max-cycles", "0"),
@@ -742,7 +752,7 @@ def test_main_builds_one_parser(capsys, monkeypatch):
 
 def test_main_keeps_no_state_between_calls(capsys):
     argv = ("equiv", "--n", "2", "--b", "4", "--len", "8")
-    code, out, _ = run(capsys, *argv, "--max-strings", "1")
+    code, out, _ = run(capsys, *argv, "--max-cycles", "1")
     assert code == EXIT_BUDGET
     assert out == ""
     code, out, err = run(capsys, *argv)
@@ -831,7 +841,7 @@ OPTIONS = {
     "verify": {"--digits": DIGITS, "--permuted": DIGITS},
     "search": {"--len": LENGTH, "--max-scan": LIMIT},
     "palintiples": {"--len": LENGTH, "--max-scan": LIMIT},
-    "equiv": {"--len": LENGTH, "--max-scan": LIMIT, "--max-strings": LIMIT, "--max-cycles": LIMIT},
+    "equiv": {"--len": LENGTH, "--max-scan": LIMIT, "--max-cycles": LIMIT},
 }
 REQUIRED = {"--cycle", "--cycles", "--digits", "--permuted", "--len"}
 

@@ -26,7 +26,6 @@ from permutiples import (
     verify_witness,
 )
 from permutiples import euler
-from permutiples.euler import ALLOW_LEADING_ZERO, FORBID_LEADING_ZERO
 
 P24 = Params(2, 4)
 P410 = Params(4, 10)
@@ -182,14 +181,12 @@ def test_enumeration_order_is_deterministic():
 def test_leading_zero_filter():
     allowed = enumerate_strings(union24(I_LOOP0))
     assert [str(s) for s in allowed] == ["(0,0)"]
-    forbidden = enumerate_strings(
-        union24(I_LOOP0), EnumerationOptions(leading_zero=FORBID_LEADING_ZERO)
-    )
+    forbidden = enumerate_strings(union24(I_LOOP0), EnumerationOptions(forbid_leading_zero=True))
     assert forbidden == ()
     # a mixed union where only some strings end on a zero digit
     g = union24(I_LOOP0, I_THREE_A)
     allow_all = enumerate_strings(g)
-    strict = enumerate_strings(g, EnumerationOptions(leading_zero=FORBID_LEADING_ZERO))
+    strict = enumerate_strings(g, EnumerationOptions(forbid_leading_zero=True))
     assert set(strict) < set(allow_all)
     assert all(s.pairs[-1].d1 != 0 for s in strict)
     assert any(s.pairs[-1].d1 == 0 for s in allow_all)
@@ -199,7 +196,7 @@ def test_forbid_mode_walks_only_what_it_keeps(monkeypatch):
     # 4 of the 6 strings of {0, 3} have a nonzero leading digit
     walked = walked_circuits(monkeypatch)
     g = union24(I_LOOP0, I_THREE_A)
-    strict = enumerate_strings(g, EnumerationOptions(leading_zero=FORBID_LEADING_ZERO))
+    strict = enumerate_strings(g, EnumerationOptions(forbid_leading_zero=True))
     assert len(walked) == len(strict) == 4
 
 
@@ -232,15 +229,17 @@ def test_label_distinct_cap_is_checked_before_walking(monkeypatch):
     # with leading zeros forbidden too: 4 of the 6 strings of {0, 3} remain
     g = union24(I_LOOP0, I_THREE_A)
     with pytest.raises(CapExceededError):
-        enumerate_strings(g, EnumerationOptions(leading_zero=FORBID_LEADING_ZERO, cap=3))
+        enumerate_strings(g, EnumerationOptions(forbid_leading_zero=True, cap=3))
     monkeypatch.undo()
-    strict = enumerate_strings(g, EnumerationOptions(leading_zero=FORBID_LEADING_ZERO, cap=4))
+    strict = enumerate_strings(g, EnumerationOptions(forbid_leading_zero=True, cap=4))
     assert len(strict) == 4
 
 
 def test_enumeration_options_validation():
-    with pytest.raises(ValueError):
-        EnumerationOptions(leading_zero="maybe")
+    # the mode is a bool: an old positional "forbid" or "allow" selects nothing
+    for mode in ("forbid", "allow", 1, None):
+        with pytest.raises(ValueError, match="^forbid_leading_zero must be a bool, got "):
+            EnumerationOptions(mode)
     with pytest.raises(ValueError):
         EnumerationOptions(cap=0)
 
@@ -306,11 +305,11 @@ def test_count_alone_decides_acceptance(monkeypatch):
         assert count_sequences_by_arborescences(g) == counts[0]
         zero_led = tuple(f"(0,{d})" for d in range(4))  # last pair writes the leading digit
         by_mode = {
-            ALLOW_LEADING_ZERO: strings,
-            FORBID_LEADING_ZERO: {t for t in strings if not t.endswith(zero_led)},
+            False: strings,
+            True: {t for t in strings if not t.endswith(zero_led)},
         }
-        for leading, expected in by_mode.items():
-            got = enumerate_strings(g, EnumerationOptions(leading_zero=leading))
+        for forbid, expected in by_mode.items():
+            got = enumerate_strings(g, EnumerationOptions(forbid_leading_zero=forbid))
             assert {str(s) for s in got} == expected and len(got) == len(expected)
     with pytest.raises(CapExceededError):
         enumerate_strings(union24(I_THREE_A, I_THREE_A), EnumerationOptions(cap=5))

@@ -23,7 +23,6 @@ from permutiples import (
     edge_allowed,
     enumerate_cycles,
     equivalence_check,
-    euler,
     mothergraph,
     oracle,
     palintiple_count,
@@ -381,25 +380,22 @@ def test_sweep_walks_only_what_it_keeps(monkeypatch):
     assert len(walked) == len(rep.pipeline_values) == 1701
 
 
-def test_string_cap_is_checked_before_walking(monkeypatch):
-    # The sweep's walker checks the same exact count as enumerate_strings.
-    def no_walk(*args):
-        raise AssertionError("walked although the count exceeds the cap")
+def test_scan_budget_bounds_the_walk(monkeypatch):
+    # Every string walked is a distinct length-digit permutiple, so the
+    # b**length <= max_scan gate bounds the walk, and max_scan is its cap;
+    # the tightest budget the gate admits still walks all 1 701 strings.
+    caps = []
 
-    monkeypatch.setattr(euler, "_circuits", no_walk)
-    with pytest.raises(CapExceededError, match="^more than 1 strings$"):
-        equivalence_check(P24, 8, max_strings=1)
-    with pytest.raises(ValueError, match="^max_strings must be positive, got 0$"):
-        equivalence_check(P24, 8, max_strings=0)
+    def spy(g, forbid_zero, cap):
+        caps.append(cap)
+        return _closer_first(g, forbid_zero, cap)
 
-
-def test_string_cap_is_checked_before_the_cycle_search(monkeypatch):
-    def no_cycles(*args, **kwargs):
-        raise AssertionError("cycle search ran with a string cap of 0")
-
-    monkeypatch.setattr(oracle, "_short_cycles", no_cycles)
-    with pytest.raises(ValueError, match="^max_strings must be positive, got 0$"):
-        equivalence_check(P24, 4, max_strings=0)
+    monkeypatch.setattr(oracle, "_closer_first", spy)
+    for max_scan in (4**8, 10**7):
+        del caps[:]
+        rep = equivalence_check(P24, 8, max_scan=max_scan)
+        assert rep.match and len(rep.pipeline_values) == 1701
+        assert caps and set(caps) == {max_scan}
 
 
 def test_cycle_cap_counts_the_cycles_that_fit():

@@ -53,7 +53,6 @@ from permutiples import (
 )
 from permutiples import euler
 from permutiples._digraph import strongly_connected_components
-from permutiples.euler import ALLOW_LEADING_ZERO, FORBID_LEADING_ZERO
 from permutiples.oracle import _cycle_multisets
 
 SMALL = [
@@ -209,7 +208,7 @@ def test_forbid_mode_count_matches_backtracking(data):
     distinct = count_circuits(g).label_distinct
     if distinct:
         assert euler._nonzero_led(g, distinct) == expected
-    forbid = EnumerationOptions(leading_zero=FORBID_LEADING_ZERO, cap=max(expected, 1))
+    forbid = EnumerationOptions(forbid_leading_zero=True, cap=max(expected, 1))
     strings = enumerate_strings(g, forbid)
     assert len(strings) == expected
     assert all(s.pairs[-1].d1 for s in strings)
@@ -225,8 +224,7 @@ def test_walk_order_matches_recursive_reference(data, forbid):
     # recursive walk sorted by value, in both leading-zero modes.
     p, inv, idx = draw_multiset(data)
     g = union_images(CycleMultiset.from_indices(idx), p, inv)
-    mode = FORBID_LEADING_ZERO if forbid else ALLOW_LEADING_ZERO
-    strings = enumerate_strings(g, EnumerationOptions(leading_zero=mode))
+    strings = enumerate_strings(g, EnumerationOptions(forbid_leading_zero=forbid))
 
     def spelled(pairs):
         return sum(pair.d1 * p.b**i for i, pair in enumerate(pairs))
