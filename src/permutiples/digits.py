@@ -31,46 +31,36 @@ __all__ = [
 ]
 
 
-def _integral(x) -> bool:
-    # Integral floats pass, as they do as pair digits, and are stored as
-    # ints; inf and nan do not.
-    return x % 1 == 0
-
-
-def _number(x, what: str) -> None:
-    # A value that is not a number has no range or integrality to check,
-    # and is named as given.
-    if not isinstance(x, Number):
-        raise ValueError(f"{what} {x!r} is not a number")
-
-
 def _ints(values, what: str, bound=None, where: str = "") -> tuple[int, ...]:
     """values as a tuple, checked in turn and with integral floats stored as ints.
 
-    Each value must be a number, then lie in 0..bound-1 when a bound is
-    given, then be integral; the first failure raises ValueError naming the
-    value as `what`, with `where` after the range error.
+    The package's one integer rule: each value must be a number, then lie
+    in 0..bound-1 when a bound is given, then be integral (inf and nan are
+    not); the first failure raises ValueError naming the value as `what`,
+    with `where` after the range error.
     """
     values = tuple(values)
     exact = True
     for v in values:
         if type(v) is not int:
-            _number(v, what)
+            # A value that is not a number has no range or integrality to check.
+            if not isinstance(v, Number):
+                raise ValueError(f"{what} {v!r} is not a number")
             exact = False
         if bound is not None and not 0 <= v < bound:
             raise ValueError(f"{what} {v} out of range{where}")
-        if type(v) is not int and not _integral(v):
+        if type(v) is not int and v % 1 != 0:
             raise ValueError(f"{what} {v} is not an integer")
     return values if exact else tuple(map(int, values))
 
 
-def _exact(d):
-    # One pair digit as _ints stores it; a non-integral number is kept for
-    # its caller's own check to reject.
-    if type(d) is int:
-        return d
-    _number(d, "pair digit")
-    return int(d) if _integral(d) else d
+def _count(x, what: str, least: int = 1, message: str = "{what} must be positive, got {x}") -> int:
+    """x as an int of at least `least`, by _ints; a smaller x raises ValueError(message)."""
+    if type(x) is not int:  # an int passes _ints unchanged
+        (x,) = _ints((x,), what)
+    if x < least:
+        raise ValueError(message.format(what=what, x=x))
+    return x
 
 
 @cache
@@ -291,8 +281,7 @@ def digits_of(m: int, base: int, width: int) -> DigitVec:
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    if width < 1:
-        raise ValueError(f"width must be at least 1, got {width}")
+    width = _count(width, "width", message="width must be at least 1, got {x}")
     if base < 2:
         raise ValueError(f"base must be at least 2, got {base}")
     if m >= base**width:

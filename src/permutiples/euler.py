@@ -17,7 +17,7 @@ from math import factorial
 from typing import Iterator, NamedTuple, Optional
 
 from ._digraph import strongly_connected_components
-from .digits import _trusted
+from .digits import _count, _trusted
 from .errors import CapExceededError
 from .statemachine import HSMultigraph, LabeledMultiedge, PermutipleString
 
@@ -61,8 +61,9 @@ class EnumerationOptions:
     """Knobs for circuit enumeration.
 
     forbid_leading_zero drops the strings whose most significant product
-    digit is 0; it must be a bool.  cap bounds the number of results;
-    crossing it raises instead of truncating.
+    digit is 0; it must be a bool.  cap bounds the number of results, a
+    count of at least 1 by the integer rule of digits._ints; crossing it
+    raises instead of truncating.
     """
 
     forbid_leading_zero: bool = False
@@ -72,8 +73,7 @@ class EnumerationOptions:
         forbid = self.forbid_leading_zero
         if type(forbid) is not bool:
             raise ValueError(f"forbid_leading_zero must be a bool, got {forbid!r}")
-        if self.cap < 1:
-            raise ValueError(f"cap must be positive, got {self.cap}")
+        object.__setattr__(self, "cap", _count(self.cap, "cap"))
 
 
 class CircuitCounts(NamedTuple):

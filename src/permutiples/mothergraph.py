@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._digraph import elementary_cycles
-from .digits import Params, PermutipleWitness, _exact, _trusted
+from .digits import Params, PermutipleWitness, _count, _ints, _trusted
 
 __all__ = [
     "DigitPair",
@@ -65,14 +65,13 @@ def _step(pair: DigitPair | tuple[int, int], p: Params) -> tuple[int, int] | Non
 
     Works on the one pair, in O(1) at any base: the only carry that can
     write d1 from d2 is c1 = (d1 - n*d2) mod b, and it must be below n.
-    A digit that is not a number raises ValueError naming it; non-integral
-    values inside the digit range are never allowed.
+    Each digit goes through the integer rule as a "pair digit", so a value
+    that is not an integer raises ValueError naming it, as does a pair of
+    integers outside 0..b-1.
     """
-    d1, d2 = map(_exact, pair)
+    d1, d2 = _ints(pair, "pair digit")
     if not (0 <= d1 < p.b and 0 <= d2 < p.b):
         raise ValueError(f"pair ({d1},{d2}) is not made of base-{p.b} digits")
-    if type(d1) is not int or type(d2) is not int:
-        return None
     c1 = (d1 - p.n * d2) % p.b
     if c1 >= p.n:
         return None
@@ -80,7 +79,11 @@ def _step(pair: DigitPair | tuple[int, int], p: Params) -> tuple[int, int] | Non
 
 
 def edge_allowed(pair: DigitPair | tuple[int, int], p: Params) -> bool:
-    """Whether the pair satisfies the residue inequality for (n, b)."""
+    """Whether the pair satisfies the residue inequality for (n, b).
+
+    Raises ValueError, as _step does, for a digit that is not an integer
+    in 0..b-1.
+    """
     return _step(pair, p) is not None
 
 
@@ -92,7 +95,7 @@ class DigitGraph:
     edges: tuple[DigitPair, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted({DigitPair(*map(_exact, e)) for e in self.edges}))
+        canon = tuple(sorted({DigitPair(*_ints(e, "pair digit")) for e in self.edges}))
         object.__setattr__(self, "edges", canon)
         for e in canon:
             if not edge_allowed(e, self.params):
@@ -146,14 +149,16 @@ class Cycle:
     edges[i] runs from vertex edges[i].d1 to edges[i].d2 and consecutive
     edges are incident, wrapping around at the end; no vertex repeats.  The
     rotation starting at the smallest vertex is the canonical form, so equal
-    cycles compare equal no matter how they were traversed.  enumerate_cycles
+    cycles compare equal no matter how they were traversed.  Pair digits
+    follow the integer rule of digits._ints: integral floats are stored as
+    ints, and any other non-int raises ValueError naming it.  enumerate_cycles
     builds its cycles through digits._trusted(Cycle), which skips these checks.
     """
 
     edges: tuple[DigitPair, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(DigitPair(*map(_exact, e)) for e in self.edges)
+        canon = tuple(DigitPair(*_ints(e, "pair digit")) for e in self.edges)
         object.__setattr__(self, "edges", canon)
         if not canon:
             raise ValueError("a cycle has at least one edge")
@@ -197,8 +202,7 @@ def _short_cycles(
     index names the same cycle, but the search never looks at longer
     cycles.  Raises CapExceededError when more than max_cycles of them exist.
     """
-    if max_cycles < 1:
-        raise ValueError(f"max_cycles must be positive, got {max_cycles}")
+    max_cycles = _count(max_cycles, "max_cycles")
     raw = elementary_cycles(g.vertices, g.successors(), length, max_cycles)
     # Each vertex list is elementary and starts at its smallest vertex; a plain
     # (d1, d2) tuple hashes and compares equal to the graph's own DigitPair.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .digits import Params, PermutipleWitness, _decimal, digits_of
+from .digits import Params, PermutipleWitness, _count, _decimal, digits_of
 from .errors import BudgetExceededError
 from .euler import _closer_first
 from .mothergraph import DEFAULT_MAX_CYCLES, _carry_row, _short_cycles, _step, build_mother_graph
@@ -42,11 +42,9 @@ __all__ = [
 DEFAULT_MAX_SCAN = 10**7
 
 
-def _check_budget(p: Params, length: int, max_scan: int) -> None:
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
-    if max_scan < 1:
-        raise ValueError(f"max_scan must be positive, got {max_scan}")
+def _check_budget(p: Params, length: int, max_scan: int) -> tuple[int, int]:
+    """length and max_scan as counts by the integer rule, once b**length fits the budget."""
+    length, max_scan = _count(length, "length"), _count(max_scan, "max_scan")
     if length > max_scan.bit_length():
         # b**length >= 2**length > max_scan for every b >= 2; the power is
         # neither computed nor spelled out, whatever its size.
@@ -54,7 +52,7 @@ def _check_budget(p: Params, length: int, max_scan: int) -> None:
     elif p.b**length > max_scan:
         count = _decimal(p.b**length)
     else:
-        return
+        return length, max_scan
     raise BudgetExceededError(
         f"scanning {length} base-{_decimal(p.b)} digits needs {count} candidates, "
         f"budget is {max_scan}"
@@ -102,7 +100,7 @@ def _scan_hits(p: Params, length: int) -> Iterator[tuple[int, int]]:
     low_width = length // 2
     split = b**low_width
     low = _signature_table(b, low_width, field)
-    high = _signature_table(b, length - low_width, field)
+    high = _signature_table(b, length - low_width, field) if length % 2 else low
     buckets: list[dict[int, list[int]]] = [{} for _ in range(n)]
     for ql, signature in enumerate(low):
         carry, ml = divmod(n * ql, split)
@@ -133,7 +131,7 @@ def brute_force_search(
     permutation and checks the shape.  The budget check still counts all
     b**length candidates.
     """
-    _check_budget(p, length, max_scan)
+    length, _ = _check_budget(p, length, max_scan)
     return tuple(
         PermutipleWitness.build(p, digits_of(m, p.b, length), digits_of(q, p.b, length))
         for m, q in _scan_hits(p, length)
@@ -146,8 +144,7 @@ def palintiple_count(p: Params, length: int, max_scan: int = DEFAULT_MAX_SCAN) -
     Reversal acts on the full length-digit padding.  The count walks the
     carry-pair automaton; the budget still counts all b**length candidates.
     """
-    if length < 2:
-        raise ValueError(f"reversal needs at least 2 digit positions, got {length}")
+    length = _count(length, "length", 2, "reversal needs at least 2 digit positions, got {x}")
     _check_budget(p, length, max_scan)
     # moves[low]: (a, carry out of j, mirror's step) for each digit a at j whose
     # pair (z, a) from carry low has an allowed mirror (a, z) at length-1-j
@@ -265,7 +262,7 @@ def equivalence_check(
     walked is a distinct length-digit permutiple, so the b**length <=
     max_scan gate bounds the whole walk, and the walker's cap is max_scan.
     """
-    _check_budget(p, length, max_scan)
+    length, max_scan = _check_budget(p, length, max_scan)
     inventory = _short_cycles(build_mother_graph(p), length, max_cycles=max_cycles)
     lengths = [len(c.edges) for c in inventory]
     images = [cycle_multi_image(c, p).multiedges for c in inventory]

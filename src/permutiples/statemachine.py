@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .digits import CarrySeq, DigitVec, Params, PermutipleWitness, find_permutation
-from .digits import _exact, _ints, _trusted
+from .digits import _ints, _trusted
 from .errors import NotAnLWalkError, RejectedPairError, UnknownCycleIndexError
 from .mothergraph import Cycle, DigitPair, _carry_row, _step
 
@@ -70,26 +70,25 @@ class HSMultigraph:
 
     multiedges is kept sorted; repeated entries are how a multiset union
     carries the same labeled transition more than once.  Every entry must
-    be the carry step its label induces, by the rule transition() solves;
-    non-digit labels, rejected pairs and wrong carries raise ValueError.
-    Integral float labels and carries are stored as ints.  This module's
-    own builders skip the check through digits._trusted(HSMultigraph).
+    be the carry step its label induces, by the rule transition() solves.
+    Carries and label digits follow the integer rule of digits._ints, with
+    integral floats stored as ints; other non-ints, labels that are no
+    base-b digits, rejected pairs and wrong carries raise ValueError.  This
+    module's own builders skip the check through digits._trusted(HSMultigraph).
     """
 
     params: Params
     multiedges: tuple[LabeledMultiedge, ...]
 
     def __post_init__(self) -> None:
-        canon = sorted(
-            LabeledMultiedge(c1, c2, DigitPair(*map(_exact, lbl)))
+        canon = tuple(sorted(
+            LabeledMultiedge(*_ints((c1, c2), "carry"), DigitPair(*_ints(lbl, "pair digit")))
             for c1, c2, lbl in self.multiedges
-        )
-        for i, e in enumerate(canon):
-            step = _step(e.label, self.params)
-            if step != (e.c1, e.c2):
+        ))
+        for e in canon:
+            if _step(e.label, self.params) != (e.c1, e.c2):
                 raise ValueError(f"multiedge {e} is not the carry step of its label")
-            canon[i] = LabeledMultiedge(*step, e.label)
-        object.__setattr__(self, "multiedges", tuple(canon))
+        object.__setattr__(self, "multiedges", canon)
 
     def active_states(self) -> tuple[int, ...]:
         """States with at least one incident multiedge, ascending."""
@@ -185,14 +184,14 @@ def _join_images(
 class PermutipleString:
     """A digit-pair string, least significant position first.
 
-    Integral float digits are stored as ints; other values are kept as
-    given, and string_to_witness rejects them.
+    Pair digits follow the integer rule of digits._ints: integral floats
+    are stored as ints, and any other non-int raises ValueError naming it.
     """
 
     pairs: tuple[DigitPair, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(DigitPair(*map(_exact, e)) for e in self.pairs)
+        canon = tuple(DigitPair(*_ints(e, "pair digit")) for e in self.pairs)
         object.__setattr__(self, "pairs", canon)
         if not canon:
             raise ValueError("a pair string holds at least one pair")
@@ -215,8 +214,8 @@ def string_to_witness(s: PermutipleString, p: Params) -> PermutipleWitness:
     permutiple additionally needs the two digit tracks to agree as multisets,
     which the witness report of the result states.
 
-    At carry c, (d1, d2) is the step when divmod(n*d2 + c, b) gives d1 and an
-    int carry in 0..n-1; any other pair goes through transition().  The digits
+    At carry c, (d1, d2) is the step when divmod(n*d2 + c, b) gives d1 and a
+    carry in 0..n-1; any other pair goes through transition().  The digits
     are then known to be in range and the carries one longer than the digits,
     so the digit vectors, the carries and the witness skip re-validation.
     """
@@ -227,7 +226,7 @@ def string_to_witness(s: PermutipleString, p: Params) -> PermutipleWitness:
         # Inline, not a call per pair: this runs for every pair of every string,
         # and a _multiply call here made the function 27% slower (CPython 3.11).
         c2, w = divmod(n * d2 + state, b)
-        if w != d1 or type(c2) is not int or not 0 <= c2 < n:
+        if w != d1 or not 0 <= c2 < n:
             i = len(carries) - 1  # carries holds the initial 0 and one per pair read
             c1, c2 = transition(s.pairs[i], p)
             if c1 != state:

@@ -10,13 +10,18 @@ from permutiples import (
     CycleMultiset,
     DigitAlignmentError,
     DigitVec,
+    EnumerationOptions,
     HSMultigraph,
     Params,
     PermutipleString,
     PermutipleWitness,
+    build_mother_graph,
     carry_sequence,
     digits_of,
+    enumerate_cycles,
+    equivalence_check,
     find_permutation,
+    palintiple_count,
     value,
     edge_allowed,
     transition,
@@ -109,6 +114,16 @@ def test_integral_float_sigma_is_stored_as_ints():
         (lambda: _shaped(sigma=(0, 7, 1)), "sigma index 7 out of range"),
         (lambda: _shaped(sigma=(0, 1.5, 1)), "sigma index 1.5 is not an integer"),
         (lambda: Params(2.5, 10), "multiplier 2.5 is not an integer"),
+        (lambda: Cycle(((1.5, 1.5),)), "pair digit 1.5 is not an integer"),
+        (lambda: PermutipleString(((float("inf"), 0),)), "pair digit inf is not an integer"),
+        (lambda: edge_allowed((0.5, 0), Params(2, 4)), "pair digit 0.5 is not an integer"),
+        (lambda: equivalence_check(Params(2, 4), 1, max_scan=2.5),
+         "max_scan 2.5 is not an integer"),
+        (lambda: palintiple_count(Params(2, 4), 2.5), "length 2.5 is not an integer"),
+        (lambda: EnumerationOptions(cap=2.5), "cap 2.5 is not an integer"),
+        (lambda: enumerate_cycles(build_mother_graph(Params(2, 4)), max_cycles=2.5),
+         "max_cycles 2.5 is not an integer"),
+        (lambda: digits_of(5, 4, 1.5), "width 1.5 is not an integer"),
     ],
 )
 def test_integer_rule_names_the_value(build, message):
@@ -135,10 +150,12 @@ def test_integer_rule_names_the_value(build, message):
         (lambda: DigitVec((1,), "10"), "base '10' is not a number"),
         (lambda: edge_allowed(("a", 1), Params(2, 4)), "pair digit 'a' is not a number"),
         (lambda: transition((1, "a"), Params(2, 4)), "pair digit 'a' is not a number"),
+        (lambda: HSMultigraph(Params(2, 4), [(0, 0, (0, 0)), ("a", 0, (0, 0))]),
+         "carry 'a' is not a number"),
     ],
     ids=["DigitVec", "CarrySeq", "sigma", "index", "multiplicity", "Cycle", "Cycle-all-str",
          "ClassGraph", "HSMultigraph", "PermutipleString", "Params-n", "Params-b",
-         "DigitVec-base", "edge_allowed", "transition"],
+         "DigitVec-base", "edge_allowed", "transition", "HSMultigraph-carry"],
 )
 def test_constructors_name_a_value_that_is_not_a_number(build, message):
     with pytest.raises(ValueError) as info:

@@ -167,10 +167,10 @@ def test_integral_float_digits_are_stored_as_ints():
     assert mother == build_mother_graph(P24)
     for edges in (c.edges, g.edges, mother.edges):
         assert all(type(d) is int for e in edges for d in e)
-    # non-integral values still meet the checks they met before
-    with pytest.raises(ValueError, match=r"^edge \(1.5,2\) violates the residue inequality"):
+    # a non-integral value is rejected where it enters, by the integer rule
+    with pytest.raises(ValueError, match=r"^pair digit 1.5 is not an integer$"):
         ClassGraph(P24, [(1.5, 2)])
-    with pytest.raises(ValueError, match=r"do not chain$"):
+    with pytest.raises(ValueError, match=r"^pair digit 1.5 is not an integer$"):
         Cycle(((1.5, 2), (2, 1)))
 
 

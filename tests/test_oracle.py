@@ -157,6 +157,13 @@ def test_scan_budget_must_be_positive():
     assert brute_force_search(P24, 3, max_scan=64) == brute_force_search(P24, 3)
 
 
+def test_integral_float_counts_run_as_ints():
+    # lengths and budgets follow the integer rule: integral floats are ints
+    assert repr(equivalence_check(P24, 4.0, max_scan=1e7)) == repr(equivalence_check(P24, 4))
+    assert brute_force_search(P24, 4.0) == brute_force_search(P24, 4)
+    assert palintiple_count(P410, 4.0) == palintiple_count(P410, 4) == 1  # 8712 = 4*2178
+
+
 def test_scan_budget_past_its_bit_length_names_a_power():
     # b**length > max_scan whenever length > max_scan.bit_length(): such a run
     # fails at once, and the count is named as a power, not spelled out
