@@ -1,11 +1,11 @@
 """Small directed-graph routines shared by the graph modules.
 
-Plain dict-of-lists adjacency, nothing fancy.  The cycle search is a
-depth-bounded walk from each start vertex through the vertices above it,
-pruned by each vertex's distance back to the start, so every elementary
-cycle of at most the given length is produced exactly once and starts at its
-smallest vertex.  An elementary cycle on b vertices has at most b edges, so a
-bound of b finds them all.
+Plain dict-of-lists adjacency.  Strong connectivity takes two depth-first
+passes, forward then backward (Sharir's method).  The depth-bounded cycle
+search walks from each start through the vertices above it, pruned by
+each vertex's distance back to the start, so every elementary cycle of at
+most the given length comes out once, from its smallest vertex.  A cycle
+on b vertices has at most b edges, so a bound of b finds them all.
 """
 
 from __future__ import annotations
@@ -18,56 +18,41 @@ from .errors import CapExceededError
 def strongly_connected_components(
     vertices: Iterable[int], adj: Mapping[int, Sequence[int]]
 ) -> list[list[int]]:
-    """Tarjan's strongly connected components, iterative.
+    """The strongly connected components of every vertex reached, each sorted.
 
-    Returns the components as sorted vertex lists; singleton vertices with no
-    cycle through them still form their own component.
+    The first pass lists vertices as they finish and files each edge it
+    reads under its target; the second, latest-finished first, gathers each
+    unplaced vertex with every unplaced vertex that reaches it.
     """
-    order: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    clock = 0
-
+    finished: list[int] = []
+    into: dict[int, list[int]] = {}
+    seen: set[int] = set()
     for root in vertices:
-        if root in order:
-            continue
-        order[root] = low[root] = clock
-        clock += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(adj.get(root, ())))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in order:
-                    order[w] = low[w] = clock
-                    clock += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack and order[w] < low[v]:
-                    low[v] = order[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == order[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
+        if root not in seen:
+            seen.add(root)
+            path, frames = [root], [iter(adj.get(root, ()))]
+            while frames:
+                for w in frames[-1]:
+                    into.setdefault(w, []).append(path[-1])
+                    if w not in seen:
+                        seen.add(w)
+                        path.append(w)
+                        frames.append(iter(adj.get(w, ())))
                         break
-                components.append(sorted(comp))
+                else:
+                    frames.pop()
+                    finished.append(path.pop())
+    components: list[list[int]] = []
+    for root in reversed(finished):
+        if root in seen:  # still in seen: not yet placed
+            seen.remove(root)
+            comp = [root]
+            for v in comp:  # comp grows as the backward walk reaches more
+                for u in into.get(v, ()):
+                    if u in seen:
+                        seen.remove(u)
+                        comp.append(u)
+            components.append(sorted(comp))
     return components
 
 

@@ -138,10 +138,6 @@ def _flag_rows(flags: dict) -> list[str]:
     return [_row(name, _yesno(flag)) for name, flag in flags.items()]
 
 
-def _params(args) -> Params:
-    return Params(args.n, args.b)
-
-
 def _params_payload(p: Params) -> dict:
     return {"n": p.n, "b": p.b}
 
@@ -189,8 +185,7 @@ def _inventory(args, p: Params):
     return enumerate_cycles(build_mother_graph(p), max_cycles=args.max_cycles)
 
 
-def _handle_mother(args) -> str:
-    p = _params(args)
+def _handle_mother(args, p: Params) -> str:
     g = build_mother_graph(p)
     if args.format == "dot":
         return graph_to_dot(g, name="mother_graph")
@@ -207,8 +202,7 @@ def _handle_mother(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _handle_cycles(args) -> str:
-    p = _params(args)
+def _handle_cycles(args, p: Params) -> str:
     inventory = _inventory(args, p)
     if args.format == "json":
         return _json(
@@ -226,8 +220,7 @@ def _handle_cycles(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _handle_multigraph(args) -> str:
-    p = _params(args)
+def _handle_multigraph(args, p: Params) -> str:
     g = build_hs_multigraph(p)
     if args.format == "dot":
         return multigraph_to_dot(g)
@@ -236,8 +229,7 @@ def _handle_multigraph(args) -> str:
     return _multigraph_table(g, f"carry multigraph for {p}")
 
 
-def _handle_image(args) -> str:
-    p = _params(args)
+def _handle_image(args, p: Params) -> str:
     inventory = _inventory(args, p)
     g = union_images(CycleMultiset.from_indices([args.cycle]), p, inventory)
     if args.format == "dot":
@@ -253,8 +245,7 @@ def _cycle_multiset(args) -> CycleMultiset:
     return CycleMultiset.from_indices(_parse_int_list(args.cycles, "--cycles"))
 
 
-def _handle_check(args) -> str:
-    p = _params(args)
+def _handle_check(args, p: Params) -> str:
     ms = _cycle_multiset(args)
     g = union_images(ms, p, _inventory(args, p))
     report = condition_report(g)
@@ -287,8 +278,7 @@ def _handle_check(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _handle_strings(args) -> str:
-    p = _params(args)
+def _handle_strings(args, p: Params) -> str:
     ms = _cycle_multiset(args)
     g = union_images(ms, p, _inventory(args, p))
     strings = enumerate_strings(g, EnumerationOptions(args.forbid_leading_zero, args.max_strings))
@@ -311,8 +301,7 @@ def _handle_strings(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _handle_verify(args) -> str:
-    p = _params(args)
+def _handle_verify(args, p: Params) -> str:
     digits = DigitVec.from_msd(_parse_int_list(args.digits, "--digits"), p.b)
     permuted = DigitVec.from_msd(_parse_int_list(args.permuted, "--permuted"), p.b)
     w = PermutipleWitness.build(p, digits, permuted)
@@ -356,8 +345,7 @@ _WITNESS_ROW = (
 _DIGIT_SEP = ",\n        "
 
 
-def _handle_search(args) -> str:
-    p = _params(args)
+def _handle_search(args, p: Params) -> str:
     n, b, length = p.n, p.b, args.length
     _check_budget(p, length, args.max_scan)
     # Each row's digits are the digit texts of m's and q's halves at the
@@ -387,41 +375,41 @@ def _handle_search(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _handle_palintiples(args) -> str:
-    p = _params(args)
+def _handle_palintiples(args, p: Params) -> str:
     count = palintiple_count(p, args.length, max_scan=args.max_scan)
     if args.format == "json":
         return _json({"params": _params_payload(p), "length": args.length, "count": count})
     return f"{count} palintiples with {args.length} base-{p.b} digits for n={p.n}\n"
 
 
-def _handle_equiv(args) -> str:
-    p = _params(args)
+def _handle_equiv(args, p: Params) -> str:
     report = equivalence_check(p, args.length, max_scan=args.max_scan, max_cycles=args.max_cycles)
-    output = str if report.match else _Mismatch
+    # Each property below builds the two value sets: read each one once.
+    match, only_pipeline, only_brute = report.match, report.only_pipeline, report.only_brute
+    output = str if match else _Mismatch
     if args.format == "json":
         return output(_json(
             {
                 "params": _params_payload(p),
                 "length": args.length,
-                "match": report.match,
+                "match": match,
                 "pipeline_count": len(report.pipeline_values),
                 "brute_count": len(report.brute_values),
-                "only_pipeline": list(report.only_pipeline),
-                "only_brute": list(report.only_brute),
+                "only_pipeline": list(only_pipeline),
+                "only_brute": list(only_brute),
                 "values": list(report.brute_values),
             }
         ))
     lines = [
         f"equivalence for {p}, length {args.length}: "
-        f"{'MATCH' if report.match else 'MISMATCH'}",
+        f"{'MATCH' if match else 'MISMATCH'}",
         f"  pipeline: {len(report.pipeline_values)} values",
         f"  scan:     {len(report.brute_values)} values",
     ]
-    if report.only_pipeline:
-        lines.append("  only pipeline: " + ", ".join(map(str, report.only_pipeline)))
-    if report.only_brute:
-        lines.append("  only scan:     " + ", ".join(map(str, report.only_brute)))
+    if only_pipeline:
+        lines.append("  only pipeline: " + ", ".join(map(str, only_pipeline)))
+    if only_brute:
+        lines.append("  only scan:     " + ", ".join(map(str, only_brute)))
     return output("\n".join(lines) + "\n")
 
 
@@ -451,7 +439,7 @@ _OPTIONS = {
 }
 
 # Subcommand -> (help, its options in usage order).  main runs each one
-# through _handle_<subcommand>.
+# through _handle_<subcommand>(args, p), p the Params of --n and --b.
 _COMMANDS = {
     "mother": ("all allowed digit pairs for (n, b)", ()),
     "cycles": ("canonical cycle inventory of the mother graph", ("--max-cycles",)),
@@ -515,7 +503,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.format == "dot" and args.command not in _GRAPH_COMMANDS:
             raise ValueError(f"DOT output is not available for '{args.command}'")
-        out = globals()[f"_handle_{args.command}"](args)
+        out = globals()[f"_handle_{args.command}"](args, Params(args.n, args.b))
     except (PermutipleError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

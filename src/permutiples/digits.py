@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
-from numbers import Number
+from numbers import Complex, Number, Real
 from typing import Optional, Sequence
 
 from .errors import DigitAlignmentError
@@ -34,10 +34,10 @@ __all__ = [
 def _ints(values, what: str, bound=None, where: str = "") -> tuple[int, ...]:
     """values as a tuple, checked in turn and with integral floats stored as ints.
 
-    The package's one integer rule: each value must be a number, then lie
-    in 0..bound-1 when a bound is given, then be integral (inf and nan are
-    not); the first failure raises ValueError naming the value as `what`,
-    with `where` after the range error.
+    The package's one integer rule: each value must be a number, and not a
+    complex one, then lie in 0..bound-1 when a bound is given, then be
+    integral (inf and nan are not); the first failure raises ValueError
+    naming the value as `what`, with `where` after the range error.
     """
     values = tuple(values)
     exact = True
@@ -46,6 +46,8 @@ def _ints(values, what: str, bound=None, where: str = "") -> tuple[int, ...]:
             # A value that is not a number has no range or integrality to check.
             if not isinstance(v, Number):
                 raise ValueError(f"{what} {v!r} is not a number")
+            if isinstance(v, Complex) and not isinstance(v, Real):
+                raise ValueError(f"{what} {v!r} is not a real number")
             exact = False
         if bound is not None and not 0 <= v < bound:
             raise ValueError(f"{what} {v} out of range{where}")
@@ -56,8 +58,7 @@ def _ints(values, what: str, bound=None, where: str = "") -> tuple[int, ...]:
 
 def _count(x, what: str, least: int = 1, message: str = "{what} must be positive, got {x}") -> int:
     """x as an int of at least `least`, by _ints; a smaller x raises ValueError(message)."""
-    if type(x) is not int:  # an int passes _ints unchanged
-        (x,) = _ints((x,), what)
+    (x,) = _ints((x,), what)
     if x < least:
         raise ValueError(message.format(what=what, x=x))
     return x
@@ -279,11 +280,9 @@ def digits_of(m: int, base: int, width: int) -> DigitVec:
 
     Raises OverflowError when m needs more than width digits.
     """
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
+    m = _count(m, "m", 0, "m must be non-negative, got {x}")
     width = _count(width, "width", message="width must be at least 1, got {x}")
-    if base < 2:
-        raise ValueError(f"base must be at least 2, got {base}")
+    base = _count(base, "base", 2, "base must be at least 2, got {x}")
     if m >= base**width:
         raise OverflowError(f"{m} does not fit in {width} base-{base} digits")
     out = []

@@ -184,7 +184,7 @@ class EquivalenceReport:
 
     @property
     def match(self) -> bool:
-        return not self.only_pipeline and not self.only_brute
+        return set(self.pipeline_values) == set(self.brute_values)
 
 
 def _cycle_multisets(cycle_lengths, total):

@@ -538,6 +538,33 @@ def test_equiv_reports_a_mismatch(capsys, monkeypatch):
     assert out.splitlines()[-1] == "  only scan:     7"
 
 
+def test_equiv_reads_each_report_property_once(capsys, monkeypatch):
+    # match, only_pipeline and only_brute each build sets of every value, so
+    # the handler reads each at most once, in both formats and on a match
+    # and a mismatch alike.
+    reads = {}
+
+    def counted(name):
+        real = getattr(oracle.EquivalenceReport, name)
+
+        def read(report):
+            reads[name] = reads.get(name, 0) + 1
+            return real.fget(report)
+
+        return property(read)
+
+    for name in ("match", "only_pipeline", "only_brute"):
+        monkeypatch.setattr(oracle.EquivalenceReport, name, counted(name))
+    real_scan = oracle._scan_hits
+    for scan, code in ((real_scan, EXIT_OK), (lambda p, length: real_scan(p, 3), EXIT_DOMAIN)):
+        monkeypatch.setattr(oracle, "_scan_hits", scan)
+        for fmt in ("table", "json"):
+            reads.clear()
+            argv = ("equiv", "--n", "2", "--b", "4", "--len", "4", "--format", fmt)
+            assert run(capsys, *argv)[0] == code
+            assert reads and max(reads.values()) == 1, (fmt, reads)
+
+
 def test_equiv_checks_the_scan_budget_first(capsys, monkeypatch):
     # 10**12 candidates: the run must fail before the cycle search and the sweep
     def no_cycles(*args, **kwargs):
@@ -717,7 +744,7 @@ def test_help_exits_clean(capsys):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    def broken(args):
+    def broken(args, p):
         raise RuntimeError("walker lost its place")
 
     monkeypatch.setattr(cli, "_handle_mother", broken)
@@ -728,7 +755,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 
 def test_keyboard_interrupt_propagates(monkeypatch):
-    def interrupted(args):
+    def interrupted(args, p):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "_handle_mother", interrupted)

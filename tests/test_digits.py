@@ -124,6 +124,10 @@ def test_integral_float_sigma_is_stored_as_ints():
         (lambda: enumerate_cycles(build_mother_graph(Params(2, 4)), max_cycles=2.5),
          "max_cycles 2.5 is not an integer"),
         (lambda: digits_of(5, 4, 1.5), "width 1.5 is not an integer"),
+        (lambda: Cycle(((1j, 1j),)), "pair digit 1j is not a real number"),
+        (lambda: DigitVec((1j,), 4), "digit 1j is not a real number"),
+        (lambda: Params(2, 4 + 0j), "base (4+0j) is not a real number"),
+        (lambda: equivalence_check(Params(2, 4), 2 + 0j), "length (2+0j) is not a real number"),
     ],
 )
 def test_integer_rule_names_the_value(build, message):
@@ -184,12 +188,15 @@ def test_digits_of_rejects_bad_arguments():
         ((-1, 10, 2), "m must be non-negative, got -1"),
         ((5, 10, 0), "width must be at least 1, got 0"),
         ((5, 1, 2), "base must be at least 2, got 1"),
+        (("5", 10, 2), "m '5' is not a number"),
+        ((5, "10", 2), "base '10' is not a number"),
     ]:
         with pytest.raises(ValueError) as info:
             digits_of(*args)
         assert str(info.value) == message
     with pytest.raises(OverflowError, match="^100 does not fit in 2 base-10 digits$"):
         digits_of(100, 10, 2)
+    assert digits_of(5.0, 10.0, 2) == DigitVec((5, 0), 10)
 
 
 def test_value_examples():
