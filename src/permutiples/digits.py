@@ -48,6 +48,11 @@ def _ints(values, what: str, bound=None, where: str = "") -> tuple[int, ...]:
                 raise ValueError(f"{what} {v!r} is not a number")
             if isinstance(v, Complex) and not isinstance(v, Real):
                 raise ValueError(f"{what} {v!r} is not a real number")
+            # A Decimal NaN or infinity raises InvalidOperation in the checks
+            # below, where a float one compares false; fail it as float would.
+            if hasattr(v, "is_finite") and not v.is_finite():
+                raise ValueError(f"{what} {v} out of range{where}" if bound is not None
+                                 else f"{what} {v} is not an integer")
             exact = False
         if bound is not None and not 0 <= v < bound:
             raise ValueError(f"{what} {v} out of range{where}")
@@ -283,12 +288,13 @@ def digits_of(m: int, base: int, width: int) -> DigitVec:
     m = _count(m, "m", 0, "m must be non-negative, got {x}")
     width = _count(width, "width", message="width must be at least 1, got {x}")
     base = _count(base, "base", 2, "base must be at least 2, got {x}")
-    if m >= base**width:
-        raise OverflowError(f"{m} does not fit in {width} base-{base} digits")
     out = []
+    rest = m
     for _ in range(width):
-        m, d = divmod(m, base)
+        rest, d = divmod(rest, base)
         out.append(d)
+    if rest:
+        raise OverflowError(f"{_decimal(m)} does not fit in {width} base-{_decimal(base)} digits")
     return DigitVec(tuple(out), base)
 
 

@@ -118,61 +118,56 @@ def _circuits(
 
     groups[v] lists the [to, label, multiplicity] rows of the steps out of
     v; _closer_first passes each state's in-edges, so a step runs an edge
-    backwards.  Depth-first over the rows in list order, one copy of a
-    label at a time, on an explicit stack: depth d holds the rows of the
-    state reached after d steps and the index of the row taken there, and
-    i is the next row to try at the current depth.  Depth 0 tries
-    first_rows: state 0's rows, or a subset of those same rows, whose copy
-    counts later visits to 0 share.  Only for multigraphs with a positive
-    BEST count: every state reached has rows, and a trail from 0 that uses
-    every edge of a balanced multigraph ends at 0.
+    backwards.  Depth-first over the rows in list order, on an explicit
+    stack of row iterators, one per state on the path: a row is stepped
+    along only while its multiplicity is positive, one copy of a label at a
+    time, and the rows taken are kept to give those copies back on the way
+    up.  The depth-0 iterator runs over first_rows: state 0's rows, or a
+    subset of those same rows, whose copy counts later visits to 0 share.
+    Only for multigraphs with a positive BEST count: every state reached
+    has rows, and a trail from 0 that uses every edge of a balanced
+    multigraph ends at 0.
     """
-    labels: list = [None] * total
-    taken = [0] * total
-    rows_at: list = [None] * total
-    rows = first_rows
-    depth = i = 0
-    while True:
-        end = len(rows)
-        while i < end and rows[i][2] == 0:
-            i += 1
-        if i < end:
-            row = rows[i]
-            labels[depth] = row[1]
-            if depth + 1 == total:  # the one edge left closes the circuit
+    labels: list = []
+    taken: list = []
+    frames = [iter(first_rows)]
+    while frames:
+        for row in frames[-1]:
+            if not row[2]:
+                continue
+            labels.append(row[1])
+            if len(labels) == total:  # the one edge left closes the circuit
                 yield tuple(labels)
-                i = end
+                labels.pop()
                 continue
             row[2] -= 1
-            rows_at[depth] = rows
-            taken[depth] = i
-            depth += 1
-            rows = groups[row[0]]
-            i = 0
-            continue
-        if depth == 0:
-            return
-        depth -= 1
-        rows = rows_at[depth]
-        i = taken[depth]
-        rows[i][2] += 1
-        i += 1
+            taken.append(row)
+            frames.append(iter(groups[row[0]]))
+            break
+        else:
+            frames.pop()
+            if taken:
+                taken.pop()[2] += 1
+                labels.pop()
 
 
 def _closer_first(g: HSMultigraph, forbid_zero: bool, cap: int) -> Iterator[tuple]:
     """g's strings as label tuples, most significant pair first, by ascending value.
 
-    _string_count runs first, so a run over cap raises CapExceededError
-    before anything is walked.  The walk runs backwards along the edges from state 0, so its
-    first edge is a circuit's closing one, which writes the leading product
-    digit: with leading zeros forbidden only the in-edges of 0 with d1 != 0
-    start a walk, and no circuit is walked only to be dropped.  A state's
-    in-edge rows are keyed and sorted by label, and two labels into one
-    state differ in d1, because c2 and d1 fix d2 and c1; so each step takes
-    the next digit of the product in increasing order, and the values come
-    out strictly ascending.
+    The walk runs backwards along the edges from state 0, so its first edge
+    is a circuit's closing one, which writes the leading product digit:
+    with leading zeros forbidden only the in-edges of 0 with d1 != 0 start
+    a walk, and no circuit is walked only to be dropped.  Each in-edge of 0
+    closes the same share of the BEST edge sequences, so in both modes the
+    strings number exactly the label-distinct count times the share the
+    walk starts from, and a run over cap raises CapExceededError before
+    anything is walked.  A state's in-edge rows are keyed and sorted by
+    label, and two labels into one state differ in d1, because c2 and d1
+    fix d2 and c1; so each step takes the next digit of the product in
+    increasing order, and the values come out strictly ascending.
     """
-    if not _string_count(g, forbid_zero, cap):
+    distinct = count_sequences_by_arborescences(g) // _copy_orders(g)
+    if not distinct:
         return iter(())
     groups: dict[int, dict] = {}
     for e in g.multiedges:
@@ -180,6 +175,8 @@ def _closer_first(g: HSMultigraph, forbid_zero: bool, cap: int) -> Iterator[tupl
         row[2] += 1
     rows = {v: [by_label[k] for k in sorted(by_label)] for v, by_label in groups.items()}
     first = [row for row in rows[0] if row[1].d1] if forbid_zero else rows[0]
+    if distinct * sum(row[2] for row in first) // sum(row[2] for row in rows[0]) > cap:
+        raise CapExceededError(f"more than {cap} strings")
     return _circuits(rows, first, len(g.multiedges))
 
 
@@ -204,30 +201,6 @@ def enumerate_strings(
     build = _trusted(PermutipleString)
     walk = _closer_first(g, opts.forbid_leading_zero, opts.cap)
     return tuple([build(pairs=labels[::-1]) for labels in walk])
-
-
-def _string_count(g: HSMultigraph, forbid_zero: bool, cap: int) -> int:
-    """g's label-distinct strings, leading zeros or not; 0 when g spells none.
-
-    Raises CapExceededError when more than cap strings survive the
-    leading-zero rule, which both counts know exactly, so no walk starts.
-    """
-    distinct = count_sequences_by_arborescences(g) // _copy_orders(g)
-    # _nonzero_led never exceeds distinct, so runs under the cap skip it.
-    if distinct > cap and (not forbid_zero or _nonzero_led(g, distinct) > cap):
-        raise CapExceededError(f"more than {cap} strings")
-    return distinct
-
-
-def _nonzero_led(g: HSMultigraph, distinct: int) -> int:
-    """How many of g's distinct strings have a nonzero leading product digit.
-
-    A circuit's last edge enters state 0 and writes the most significant
-    digit, and each in-edge of 0 ends the same share of the BEST edge
-    sequences, so the count is exact.
-    """
-    into_zero = [e.label.d1 for e in g.multiedges if e.c2 == 0]
-    return distinct * sum(1 for d1 in into_zero if d1) // len(into_zero)
 
 
 def _copy_orders(g: HSMultigraph) -> int:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -128,6 +129,12 @@ def test_integral_float_sigma_is_stored_as_ints():
         (lambda: DigitVec((1j,), 4), "digit 1j is not a real number"),
         (lambda: Params(2, 4 + 0j), "base (4+0j) is not a real number"),
         (lambda: equivalence_check(Params(2, 4), 2 + 0j), "length (2+0j) is not a real number"),
+        # decimal signals on these where float's nan and inf compare false
+        (lambda: DigitVec((Decimal("NaN"),), 4), "digit NaN out of range for base 4"),
+        (lambda: DigitVec((Decimal("sNaN"),), 4), "digit sNaN out of range for base 4"),
+        (lambda: Params(2, Decimal("Infinity")), "base Infinity is not an integer"),
+        (lambda: equivalence_check(Params(2, 4), 2, max_scan=Decimal("Infinity")),
+         "max_scan Infinity is not an integer"),
     ],
 )
 def test_integer_rule_names_the_value(build, message):
@@ -196,6 +203,9 @@ def test_digits_of_rejects_bad_arguments():
         assert str(info.value) == message
     with pytest.raises(OverflowError, match="^100 does not fit in 2 base-10 digits$"):
         digits_of(100, 10, 2)
+    # past the int-to-str limit m is named by its digit count
+    with pytest.raises(OverflowError, match="^<5001 digits> does not fit in 3 base-10 digits$"):
+        digits_of(10**5000, 10, 3)
     assert digits_of(5.0, 10.0, 2) == DigitVec((5, 0), 10)
 
 

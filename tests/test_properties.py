@@ -51,7 +51,6 @@ from permutiples import (
     value,
     verify_witness,
 )
-from permutiples import euler
 from permutiples._digraph import strongly_connected_components
 from permutiples.oracle import _cycle_multisets
 
@@ -197,24 +196,23 @@ def test_enumerated_strings_all_verify(data):
     assert len(set(values)) == len(values)
 
 
+@pytest.mark.parametrize("forbid", [True, False])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_forbid_mode_count_matches_backtracking(data):
+def test_forbid_mode_count_matches_backtracking(forbid, data):
     # enumerate_strings checks its cap against this count before walking, so
-    # it must be exact: a cap one below it raises, a cap at it does not
+    # it must be exact in both modes: a cap one below it raises, a cap at it
+    # does not
     p, inv, idx = draw_multiset(data)
     g = union_images(CycleMultiset.from_indices(idx), p, inv)
-    expected = backtracking_label_distinct(g, forbid_zero=True)
-    distinct = count_circuits(g).label_distinct
-    if distinct:
-        assert euler._nonzero_led(g, distinct) == expected
-    forbid = EnumerationOptions(forbid_leading_zero=True, cap=max(expected, 1))
-    strings = enumerate_strings(g, forbid)
+    expected = backtracking_label_distinct(g, forbid_zero=forbid)
+    opts = EnumerationOptions(forbid_leading_zero=forbid, cap=max(expected, 1))
+    strings = enumerate_strings(g, opts)
     assert len(strings) == expected
-    assert all(s.pairs[-1].d1 for s in strings)
+    assert not forbid or all(s.pairs[-1].d1 for s in strings)
     if expected > 1:
         with pytest.raises(CapExceededError):
-            enumerate_strings(g, dataclasses.replace(forbid, cap=expected - 1))
+            enumerate_strings(g, dataclasses.replace(opts, cap=expected - 1))
 
 
 @settings(max_examples=100, deadline=None)
